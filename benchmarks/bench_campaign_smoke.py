@@ -1,4 +1,4 @@
-"""Campaign engine smoke check (CI): cache, determinism, fan-out.
+"""Campaign engine smoke check (CI): result store, determinism, fan-out.
 
 Runs a tiny Fig-1-style LULESH TPL campaign three ways and asserts the
 engine's core contracts:
@@ -6,14 +6,16 @@ engine's core contracts:
 1. a 2-worker parallel campaign produces bitwise-identical serialized
    results to the serial run (the DES is seed-deterministic, so worker
    scheduling must not leak into results);
-2. re-invoking the same campaign against the same cache executes nothing
-   (every run is a content-addressed cache hit);
+2. re-invoking the same campaign against the same store directory
+   executes nothing (every run is a content-addressed store hit), and the
+   directory holds the one store file ``campaign.sqlite`` — no result
+   lands as a JSON file;
 3. mutating one spec re-executes exactly that run.
 
 Wall-clock speedup is reported informationally — on single-core CI
 runners process fan-out cannot beat serial execution.
 
-Usage: ``python benchmarks/bench_campaign_smoke.py [cache-dir]``
+Usage: ``python benchmarks/bench_campaign_smoke.py [store-dir]``
 (temporary directory when omitted; run as a script, not under pytest).
 """
 
@@ -21,8 +23,11 @@ from __future__ import annotations
 
 import sys
 import tempfile
+from pathlib import Path
 
-from repro.campaign import ExperimentSpec, ResultCache, run_campaign
+from repro.campaign import ExperimentSpec, run_campaign
+from repro.core.compiled import CompiledGraphCache
+from repro.db import STORE_FILENAME, open_store
 from repro.runtime import presets
 from repro.util.serde import canonical_json
 
@@ -52,11 +57,11 @@ def main(cache_dir: str | None = None) -> int:
         tmp = tempfile.TemporaryDirectory(prefix="repro-smoke-")
         cache_dir = tmp.name
     try:
-        cache = ResultCache(cache_dir)
+        cache = open_store(cache_dir)
 
-        # A persistent cache dir may be pre-warmed by a previous invocation
+        # A persistent store dir may be pre-warmed by a previous invocation
         # (the CI runs this script twice to prove the resume contract), so
-        # assert relative to what the cache already holds.
+        # assert relative to what the store already holds.
         pre_hits = sum(1 for s in specs if cache.contains(s))
         fanout = run_campaign(specs, jobs=JOBS, cache=cache)
         assert fanout.ok, fanout.failures[0].error
@@ -81,7 +86,15 @@ def main(cache_dir: str | None = None) -> int:
         assert third.n_cached == len(specs) - expect_new
         print(f"mutated:  {third.summary()} — "
               f"{'already cached' if expect_new == 0 else 'exactly one spec re-executed'}")
+
+        root = Path(cache_dir)
+        assert (root / STORE_FILENAME).is_file(), "no campaign store written"
+        stray = [p for p in root.rglob("*.json")
+                 if CompiledGraphCache.SUBDIR not in p.relative_to(root).parts]
+        assert not stray, f"result JSON files next to the store: {stray[:3]}"
+        print(f"store:    {len(cache)} runs in {root / STORE_FILENAME}")
     finally:
+        cache.db.close()
         if tmp is not None:
             tmp.cleanup()
 

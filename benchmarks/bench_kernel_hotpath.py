@@ -22,9 +22,8 @@ a :class:`~repro.obs.TraceRecorder` attached, plus a microbenchmarked
 estimate of the quiet-bus *hook-check* tax — the ``cbs = bus.hook; if
 cbs:`` branch the discovery hot path pays per task even when nobody is
 listening.  ``--check`` also gates that tax at ``--max-hook-overhead``
-(default 5%) of the quiet wall time, and the counter-only
-:class:`~repro.metrics.sim.SimMetrics` observer at
-``--max-metrics-overhead`` (default 1.10x quiet).
+(default 5%) of the quiet wall time, and the recorder streaming into a
+SQLite store at ``--max-db-overhead`` (default 1.15x quiet).
 """
 
 from __future__ import annotations
@@ -108,13 +107,12 @@ def run_obs_case(name, s, iterations, tpl, make_config, repeats=1):
     once per task created or replayed, so the check count ≈ ``n_tasks``).
     """
     from repro.db import CampaignDB, TraceDbWriter
-    from repro.metrics.sim import SimMetrics
 
     prog = build_task_program(
         LuleshConfig(s=s, iterations=iterations, tpl=tpl, flops_per_item=25.0),
         opt_a=False,
     )
-    quiet = attached = streamed = metered = None
+    quiet = attached = streamed = None
     n_tasks = n_spans = n_db_rows = 0
     for _ in range(repeats):
         rt = TaskRuntime(prog, make_config())
@@ -151,17 +149,6 @@ def run_obs_case(name, s, iterations, tpl, make_config, repeats=1):
             db.close()
         streamed = wall if streamed is None else min(streamed, wall)
 
-        # Counter-only metrics observer: every hook is a handful of
-        # attribute increments, so this bounds what ``repro profile``
-        # and campaign telemetry add to a run.
-        bus = InstrumentationBus()
-        bus.attach(SimMetrics())
-        rt = TaskRuntime(prog, make_config(), bus=bus)
-        t0 = time.perf_counter()
-        rt.run()
-        wall = time.perf_counter() - t0
-        metered = wall if metered is None else min(metered, wall)
-
     check_cost = _hook_check_cost()
     hook_overhead = check_cost * n_tasks / quiet if quiet > 0 else 0.0
     return {
@@ -175,10 +162,8 @@ def run_obs_case(name, s, iterations, tpl, make_config, repeats=1):
         "quiet_wall_s": quiet,
         "recorder_wall_s": attached,
         "db_wall_s": streamed,
-        "metrics_wall_s": metered,
         "recorder_overhead_ratio": attached / quiet if quiet > 0 else 0.0,
         "db_overhead_ratio": streamed / quiet if quiet > 0 else 0.0,
-        "metrics_overhead_ratio": metered / quiet if quiet > 0 else 0.0,
         "hook_check_cost_s": check_cost,
         "quiet_hook_overhead_frac": hook_overhead,
     }
@@ -206,9 +191,6 @@ def main(argv=None) -> int:
                     help="gate: recorder-with-SQLite-sink wall over quiet "
                          "wall (default 1.15; plain recorder baselines "
                          "around 1.08)")
-    ap.add_argument("--max-metrics-overhead", type=float, default=1.10,
-                    help="gate: SimMetrics-attached wall over quiet wall "
-                         "(default 1.10; counter increments only)")
     args = ap.parse_args(argv)
 
     machine = scaled_skylake()
@@ -277,8 +259,6 @@ def main(argv=None) -> int:
           f"{obs['n_spans_recorded']:,} spans)  "
           f"db sink {obs['db_wall_s']:.3f}s "
           f"({obs['db_overhead_ratio']:.2f}x)  "
-          f"metrics {obs['metrics_wall_s']:.3f}s "
-          f"({obs['metrics_overhead_ratio']:.2f}x)  "
           f"hook-check tax {obs['quiet_hook_overhead_frac']:.2%}")
 
     if args.check:
@@ -324,17 +304,6 @@ def main(argv=None) -> int:
             return 1
         print(f"OK: {obs['case']} streaming-store overhead {ratio:.2f}x "
               f"<= {args.max_db_overhead:.2f}x")
-        # Fifth gate: the counter-only SimMetrics observer must stay
-        # cheap enough to attach by default in ``repro profile`` and
-        # campaign telemetry (attribute increments, no allocation).
-        ratio = obs["metrics_overhead_ratio"]
-        if ratio > args.max_metrics_overhead:
-            print(f"FAIL: {obs['case']} sim-metrics overhead "
-                  f"{ratio:.2f}x > {args.max_metrics_overhead:.2f}x",
-                  file=sys.stderr)
-            return 1
-        print(f"OK: {obs['case']} sim-metrics overhead {ratio:.2f}x "
-              f"<= {args.max_metrics_overhead:.2f}x")
     return 0
 
 

@@ -74,7 +74,6 @@ from repro.analysis import (
 from repro.campaign import (
     CampaignResult,
     ExperimentSpec,
-    ResultCache,
     run_campaign,
     run_experiment,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "scaled_skylake",
     "CampaignResult",
     "ExperimentSpec",
-    "ResultCache",
     "run_campaign",
     "run_experiment",
     "breakdown_of",

@@ -18,8 +18,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from pathlib import Path
     from typing import Union
 
-    from repro.campaign.cache import ResultCache
     from repro.campaign.spec import ExperimentSpec
+    from repro.db.store import DbResultStore
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +136,7 @@ def run_metg_study(
     *,
     efficiency: float = 0.95,
     jobs: int = 1,
-    cache: "Union[ResultCache, str, Path, None]" = None,
+    cache: "Union[DbResultStore, str, Path, None]" = None,
     fidelity: "Optional[str]" = None,
 ) -> dict[str, MetgResult]:
     """Sweep every runtime's base spec over ``tpls`` and compute METG.

@@ -20,10 +20,10 @@ from typing import Callable, Optional, Sequence, Union
 
 from repro.analysis.calibration import scaled_epyc, scaled_mpc, scaled_network
 from repro.apps.lulesh.config import LuleshConfig
-from repro.campaign.cache import ResultCache
 from repro.campaign.runner import run_experiment
 from repro.campaign.spec import ExperimentSpec
 from repro.core.optimizations import OptimizationSet
+from repro.db.store import DbResultStore, open_store
 from repro.mpi.network import NetworkSpec
 from repro.runtime.runtime import RuntimeConfig
 
@@ -78,7 +78,7 @@ def lulesh_scaling(
     fixed_tpl: Optional[int] = None,
     overlap_ratio: float = 0.85,
     nodes_per_task: int = 1024,
-    cache: Union[ResultCache, str, Path, None] = None,
+    cache: Union[DbResultStore, str, Path, None] = None,
     fidelity: Optional[str] = None,
 ) -> list[ScalingPoint]:
     """Model Table 3's weak/strong rows.
@@ -97,7 +97,7 @@ def lulesh_scaling(
     if isinstance(opts, str):
         opts = OptimizationSet.parse(opts)
     if isinstance(cache, (str, Path)):
-        cache = ResultCache(cache)
+        cache = open_store(cache)
     net = network if network is not None else scaled_network()
 
     def probe(spec: ExperimentSpec) -> float:

@@ -20,8 +20,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from typing import Union
 
     from repro.campaign.bus import CampaignBus
-    from repro.campaign.cache import ResultCache
     from repro.campaign.spec import ExperimentSpec
+    from repro.db.store import DbResultStore
 
 
 @dataclass
@@ -124,7 +124,7 @@ class Sweep:
 
         ``db`` is a :class:`repro.db.CampaignDB` (or anything with its
         ``query``); SQL selects exactly the matching runs — instead of
-        re-running the sweep or re-reading a whole JSON cache — and each
+        re-running the sweep or decoding every stored result — and each
         row's stored RunResult document becomes one point.  Points are
         ordered by the swept parameter; filters narrow multi-app or
         multi-config stores down to one series.
@@ -175,7 +175,7 @@ def run_spec_sweep(
     *,
     param: str = "tpl",
     jobs: int = 1,
-    cache: "Union[ResultCache, str, Path, None]" = None,
+    cache: "Union[DbResultStore, str, Path, None]" = None,
     timeout: Optional[float] = None,
     bus: "Optional[CampaignBus]" = None,
     progress: bool = False,

@@ -5,11 +5,11 @@ A *campaign* is an ordered list of :class:`~repro.campaign.spec.ExperimentSpec`
 dozens-to-hundreds of independent DES runs.  :func:`run_campaign`
 executes one with:
 
-- **cache-backed skipping** — runs whose key is already in the
-  :class:`~repro.campaign.cache.ResultCache` are not re-executed;
+- **store-backed skipping** — runs whose key is already in the
+  :class:`~repro.db.DbResultStore` are not re-executed;
 - **parallel fan-out** — ``jobs`` worker processes, each executing one
   run then exiting (a crashing run can never poison a sibling);
-- **resumability** — results land in the cache atomically as they
+- **resumability** — results land in the store atomically as they
   complete, so an interrupted (Ctrl-C'd, OOM-killed) campaign re-launched
   with the same specs completes only the missing runs;
 - **robustness** — a per-run ``timeout`` and retry-on-worker-death
@@ -32,16 +32,15 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.campaign.bus import CampaignBus, ProgressPrinter
-from repro.campaign.cache import ResultCache
 from repro.campaign.runner import run_experiment
 from repro.campaign.spec import ExperimentSpec
 from repro.core.compiled import CompiledGraphCache
 from repro.db.store import DbResultStore, open_store
 from repro.runtime.result import RunResult
 
-#: Anything the engine can persist results into: the JSON-file cache,
-#: the SQLite store, or a locator path that :func:`open_store` resolves.
-Store = Union[ResultCache, DbResultStore, str, Path]
+#: Anything the engine can persist results into: the SQLite store, or a
+#: locator path (store file or directory) that :func:`open_store` resolves.
+Store = Union[DbResultStore, str, Path]
 
 _POLL_S = 0.02
 
@@ -139,7 +138,7 @@ def _worker_entry(spec_json: str, locator: str, campaign: str = "") -> None:
     """Executed in a worker process: run one spec, write it to the store.
 
     The store write is the only channel back to the parent — atomic
-    (file replace or SQL transaction), and exactly what a resumed
+    (one SQL transaction), and exactly what a resumed
     campaign would read — so worker death between run and write just
     means the run retries.  ``locator`` names the parent's store
     (:func:`repro.db.open_store` resolves it).
@@ -204,19 +203,16 @@ def run_campaign(
         serially in-process (no subprocess overhead); otherwise each run
         executes in its own worker process.
     cache:
-        A :class:`ResultCache`, a :class:`~repro.db.DbResultStore`, a
-        locator path (directory → JSON cache, ``.sqlite`` file → SQLite
-        store), or None — parallel and timeout modes need a store as the
-        result channel, so None then means a temporary directory
-        (discarded afterwards).
+        A :class:`~repro.db.DbResultStore`, a locator path (a ``.sqlite``
+        file, or a directory holding ``campaign.sqlite``), or None —
+        parallel and timeout modes need a store as the result channel,
+        so None then means a store in a temporary directory (discarded
+        afterwards).
     store:
-        Alias for ``cache`` (the SQLite-store spelling); passing both is
-        an error.  Same types accepted — the engine drives either
-        backend through the identical content-addressed interface.
+        Alias for ``cache``; passing both is an error.
     campaign:
-        Campaign id tagged onto every run row a
-        :class:`~repro.db.DbResultStore` writes (reports compare ids);
-        ignored by the JSON cache.
+        Campaign id tagged onto every run row the store writes (reports
+        compare ids).
     reuse_cache:
         When False, existing entries are ignored (every run re-executes
         and overwrites; ``--no-resume`` in the CLI).
@@ -256,7 +252,7 @@ def run_campaign(
         cache = store
     if isinstance(cache, (str, Path)):
         cache = open_store(cache, campaign=campaign)
-    if campaign and isinstance(cache, DbResultStore):
+    if campaign and cache is not None:
         cache.campaign = campaign
     # Observers attach after store resolution (metrics may bind to it)
     # but before the cache pass, so run_cached events are never missed.
@@ -265,9 +261,7 @@ def run_campaign(
 
         metrics = CampaignMetrics(len(specs), snapshot_every=snapshot_every)
     if metrics is not None:
-        if getattr(metrics, "db", None) is None and isinstance(
-            cache, DbResultStore
-        ):
+        if getattr(metrics, "db", None) is None and cache is not None:
             metrics.bind_store(cache)
         bus.attach(metrics)
     if live:
@@ -285,7 +279,7 @@ def run_campaign(
     try:
         if cache is None and use_workers:
             tmpdir = tempfile.TemporaryDirectory(prefix="repro-campaign-")
-            cache = ResultCache(tmpdir.name)
+            cache = open_store(tmpdir.name)
 
         # ---- cache pass -------------------------------------------------
         pending: list[int] = []
@@ -320,6 +314,7 @@ def run_campaign(
                     _emit(bus.run_cached, i, rec.spec, rec.result)
     finally:
         if tmpdir is not None:
+            cache.db.close()
             tmpdir.cleanup()
 
     out = CampaignResult(records=records, wall=time.monotonic() - t0)
@@ -373,7 +368,7 @@ def _run_workers(records, pending, jobs, cache, timeout, retries, bus) -> None:
             args=(
                 rec.spec.to_json(),
                 cache.locator,
-                getattr(cache, "campaign", ""),
+                cache.campaign,
             ),
             daemon=True,
         )
@@ -439,7 +434,7 @@ def _run_workers(records, pending, jobs, cache, timeout, retries, bus) -> None:
                 time.sleep(_POLL_S)
     finally:
         # Interrupt (Ctrl-C) or internal error: reap the workers.  The
-        # cache keeps everything completed so far — re-launching the same
+        # store keeps everything completed so far — re-launching the same
         # campaign resumes from here.
         for slot in slots:
             if slot.proc.is_alive():

@@ -7,8 +7,8 @@ Gives shell access to the main experiment flows:
 - ``sweep`` — a LULESH TPL sweep with the Fig-1-style curves
   (``--jobs N`` fans the points out over worker processes);
 - ``campaign`` — execute a JSON spec file of experiment runs through the
-  cached, resumable campaign engine (``--db`` persists into a SQLite
-  campaign store instead of the JSON cache directory);
+  resumable campaign engine into its SQLite result store (``--cache-dir``
+  names the store's directory, ``--db`` the store file);
 - ``query`` — canned SQL reports (and ``--sql`` passthrough) over a
   campaign store: stored runs, critical tasks, slack by loop, discovery
   regressions between two campaign ids;
@@ -733,8 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the sweep points (default 1)")
     p.add_argument("--cache-dir", default=None,
-                   help="result cache directory (points already cached are "
-                        "not re-run)")
+                   help="campaign store directory (holds campaign.sqlite; "
+                        "points already stored are not re-run)")
     p.add_argument("--fidelity", default=None,
                    choices=("analytic", "replay", "des"),
                    help="simulation tier for every point (default: des); "
@@ -750,11 +750,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON spec file ('-' for stdin); see --example")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--cache-dir", default=None,
-                   help="content-addressed result cache directory")
+                   help="campaign store directory: results land in "
+                        "<dir>/campaign.sqlite (query with `repro query`)")
     p.add_argument("--db", default=None, metavar="STORE.sqlite",
-                   help="persist results into a SQLite campaign store "
-                        "instead of a cache directory (same keys, same "
-                        "resume semantics; query with `repro query`)")
+                   help="persist results into this SQLite campaign store "
+                        "file (same store as --cache-dir, named directly)")
     p.add_argument("--campaign-id", default="", metavar="NAME",
                    help="campaign id tagged onto store rows (lets "
                         "`repro query discovery-regressions` compare two "

@@ -6,14 +6,12 @@ buffered **write** connection (WAL journal, ``executemany`` batches via
 **read-only** query connection — the pyotter ``otter/db`` split that
 lets analyses run against a store a campaign is still writing.
 
-:class:`DbResultStore` puts the content-addressed
-:class:`~repro.campaign.cache.ResultCache` interface on top: ``get`` /
-``put`` / ``put_error`` keyed by the spec's sha256, so
-``run_campaign(store=...)`` keeps its resume/dedup semantics and
-byte-identical cache keys while every result lands as a queryable row.
-:func:`open_store` picks the backend from a locator path (a ``.sqlite``
-file or an entry directory), which is how campaign worker processes
-reopen the parent's store.
+:class:`DbResultStore` is the campaign result store: ``get`` / ``put``
+/ ``put_error`` keyed by the spec's sha256, so ``run_campaign`` keeps its
+resume/dedup semantics and content-addressed keys while every result
+lands as a queryable row.  :func:`open_store` opens it from a locator (a
+store file, or a directory holding :data:`STORE_FILENAME`), which is how
+``--cache-dir`` and campaign worker processes reach it.
 
 :class:`TraceDbWriter` is the streaming sink a
 :class:`~repro.obs.recorder.TraceRecorder` drains into mid-run; span,
@@ -50,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.recorder import TraceRecorder
     from repro.runtime.result import RunResult
 
-#: Default store file name inside a campaign cache directory.
+#: Store file name inside a campaign directory (``--cache-dir``).
 STORE_FILENAME = "campaign.sqlite"
 
 #: File suffixes :func:`open_store` treats as SQLite stores.
@@ -138,7 +136,9 @@ class CampaignDB:
         return self._read
 
     def close(self) -> None:
-        for conn in (self._conn, self._read):
+        # Read connection first: only a writable last connection can
+        # checkpoint the WAL and remove the -wal/-shm files.
+        for conn in (self._read, self._conn):
             if conn is not None:
                 conn.close()
         self._conn = self._read = None
@@ -189,17 +189,16 @@ class CampaignDB:
 
 
 # ======================================================================
-# result store (the ResultCache interface over a CampaignDB)
+# result store
 # ======================================================================
 class DbResultStore:
     """Content-addressed result store backed by :class:`CampaignDB`.
 
-    Implements the :class:`~repro.campaign.cache.ResultCache` interface
-    the campaign engine drives (``contains``/``get``/``put``/
-    ``put_error``/``get_error``/``keys``/``len``), with identical cache
-    keys (the spec sha256) and identical hit semantics — plus queryable
-    ``specs``/``runs`` rows extracted from every result.  ``campaign``
-    tags rows so reports can compare two campaign ids in one store.
+    The interface the campaign engine drives (``contains``/``get``/
+    ``put``/``put_error``/``get_error``/``keys``/``len``), keyed by the
+    spec sha256, plus queryable ``specs``/``runs`` rows extracted from
+    every result.  ``campaign`` tags rows so reports can compare two
+    campaign ids in one store.
     """
 
     def __init__(
@@ -222,7 +221,7 @@ class DbResultStore:
         and other campaign-scoped files nest here, like a cache dir)."""
         return self.db.path.parent
 
-    # -- ResultCache interface ------------------------------------------
+    # -- result-store interface -----------------------------------------
     def contains(self, spec: "ExperimentSpec") -> bool:
         try:
             row = self.db.read.execute(
@@ -333,21 +332,19 @@ class DbResultStore:
 
 def open_store(
     locator: Union[str, Path], *, campaign: str = ""
-) -> "Union[DbResultStore, ResultCache]":  # noqa: F821 - forward ref
+) -> DbResultStore:
     """Open the result store a locator names.
 
     A path ending in ``.sqlite``/``.db`` (or an existing regular file)
-    is a :class:`DbResultStore`; a directory (existing or not) is the
-    JSON-file :class:`~repro.campaign.cache.ResultCache`.  This is how
-    campaign worker processes reconstruct the parent's store from one
-    string.
+    is the store file itself; anything else is a campaign directory
+    whose store is ``<dir>/`` :data:`STORE_FILENAME`.  This is how
+    ``--cache-dir`` and campaign worker processes reach a store from
+    one string.
     """
-    from repro.campaign.cache import ResultCache
-
     path = Path(locator)
-    if path.suffix in _DB_SUFFIXES or path.is_file():
-        return DbResultStore(path, campaign=campaign)
-    return ResultCache(path)
+    if not (path.suffix in _DB_SUFFIXES or path.is_file()):
+        path = path / STORE_FILENAME
+    return DbResultStore(path, campaign=campaign)
 
 
 # ======================================================================
@@ -557,40 +554,40 @@ def annotate_critical_path(
     executes once per iteration); non-persistent runs by ``tid`` alone
     (the artifact gives every iteration's tasks their own tids).  Only
     existing span rows update — path tasks without a span (zero-weight
-    stubs) have nothing to annotate.  Returns the number of updates
-    issued.
+    stubs) have nothing to annotate.  The rank's spans are read once and
+    updated by primary key, so the cost is linear in the run's spans.
+    Returns the number of per-task stamps the analysis holds.
     """
     rid = run_id(run)
-    rows: list[tuple] = []
-    if cp.persistent:
-        sql = (
-            "UPDATE spans SET slack = ?, on_path = ? "
-            "WHERE run = ? AND rank = ? AND tid = ? AND iteration = ?"
-        )
-        for itcp in cp.iterations:
-            path = set(itcp.path)
-            for t, slack in enumerate(itcp.slack):
-                rows.append(
-                    (slack, int(t in path), rid, rank, t, itcp.iteration)
-                )
-    else:
-        sql = (
-            "UPDATE spans SET slack = ?, on_path = ? "
-            "WHERE run = ? AND rank = ? AND tid = ?"
-        )
-        for itcp in cp.iterations:
-            path = set(itcp.path)
-            for t, slack in enumerate(itcp.slack):
-                rows.append((slack, int(t in path), rid, rank, t))
+    stamps: dict = {}
+    n = 0
+    for itcp in cp.iterations:
+        path = set(itcp.path)
+        it = itcp.iteration
+        for t, slack in enumerate(itcp.slack):
+            stamps[(t, it) if cp.persistent else t] = (slack, int(t in path))
+        n += len(itcp.slack)
     conn = db.conn
     conn.execute("BEGIN IMMEDIATE")
     try:
-        conn.executemany(sql, rows)
+        spans = conn.execute(
+            "SELECT seq, tid, iteration FROM spans WHERE run = ? AND rank = ?",
+            (rid, rank),
+        ).fetchall()
+        rows = []
+        for seq, tid, it in spans:
+            stamp = stamps.get((tid, it) if cp.persistent else tid)
+            if stamp is not None:
+                rows.append((stamp[0], stamp[1], rid, seq))
+        conn.executemany(
+            "UPDATE spans SET slack = ?, on_path = ? WHERE run = ? AND seq = ?",
+            rows,
+        )
         conn.execute("COMMIT")
     except BaseException:
         conn.execute("ROLLBACK")
         raise
-    return len(rows)
+    return n
 
 
 # ======================================================================

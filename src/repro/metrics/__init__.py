@@ -2,10 +2,10 @@
 
 One :class:`MetricsRegistry` holds counters, gauges and fixed-bucket
 histograms (label sets interned to dense child ids via
-:class:`repro.util.interner.Interner`); two bus observers feed it —
-:class:`CampaignMetrics` on the :class:`~repro.campaign.bus.CampaignBus`
-and :class:`SimMetrics` on the simulation kernel's
-:class:`~repro.sim.InstrumentationBus` — and three front-ends read it:
+:class:`repro.util.interner.Interner`); :class:`CampaignMetrics` on the
+:class:`~repro.campaign.bus.CampaignBus` feeds it, :func:`sim_registry`
+fills it from a finished :class:`~repro.obs.recorder.TraceRecorder`, and
+three front-ends read it:
 
 - the in-place live terminal renderer behind ``repro campaign --live``
   (:mod:`repro.metrics.live`);
@@ -36,7 +36,7 @@ from repro.metrics.registry import (
     MetricsRegistry,
 )
 from repro.metrics.report import render_report, write_report
-from repro.metrics.sim import SimMetrics
+from repro.metrics.sim import sim_registry
 
 __all__ = [
     "CampaignMetrics",
@@ -45,10 +45,10 @@ __all__ = [
     "Histogram",
     "LiveRenderer",
     "MetricsRegistry",
-    "SimMetrics",
     "parse_exposition",
     "render_prometheus",
     "render_report",
+    "sim_registry",
     "validate_exposition",
     "write_report",
 ]

@@ -1,163 +1,99 @@
-"""Simulation telemetry: a :class:`SimMetrics` observer on the kernel bus.
+"""Simulation telemetry: ``repro_sim_*`` metric families of one recording.
 
-Attach to an :class:`~repro.sim.InstrumentationBus` before running and it
-accumulates per-run counts: tasks executed/created/replayed, dependency
-edges materialized, MPI posts/completions, barriers by kind, and the
-share of simulated time the ranks spent in discovery (creation + replay
-cost over the last task-end time).
-
-The hook bodies are deliberately plain attribute increments — no dict
-probes, no registry calls — so an attached SimMetrics stays within the
-``bench_kernel_hotpath --check`` metrics-overhead gate (≤1.10× the
-quiet-bus wall).  :meth:`fill_registry` materializes the counts into a
-:class:`~repro.metrics.registry.MetricsRegistry` after the run; every
-series is simulated-time-derived, hence deterministic and persistable.
+:func:`sim_registry` reads a finished
+:class:`~repro.obs.recorder.TraceRecorder` — its spans, MPI request
+records, barriers, registered ranks and discovery counter totals — and
+materializes per-run counts into a
+:class:`~repro.metrics.registry.MetricsRegistry`: tasks executed/created/
+replayed, dependency edges materialized, MPI posts/completions, barriers
+by kind, and the share of simulated time the ranks spent in discovery
+(creation + replay cost over the last task-end time).  Nothing observes
+the bus a second time; every series is simulated-time-derived, hence
+deterministic and persistable.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from collections import Counter
+from typing import TYPE_CHECKING, Optional
 
 from repro.metrics.registry import MetricsRegistry
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.recorder import TraceRecorder
 
-class SimMetrics:
-    """Cheap counting observer for the simulation kernel's hook bus.
 
-    Use per run (counts accumulate monotonically)::
+def discovery_share(recorder: "TraceRecorder") -> float:
+    """Discovery seconds over the last simulated task-end time.
 
-        sm = bus.attach(SimMetrics())
-        run_simulation(..., bus=bus)
-        registry = sm.fill_registry()
+    A per-rank-summed numerator over a makespan denominator, so the
+    share can exceed the single-rank intuition on wide runs; what
+    matters is that identical runs report identical shares.
     """
+    t_last_end = max(recorder.span_end, default=0.0)
+    if t_last_end <= 0:
+        return 0.0
+    tot = recorder.counters.totals()
+    return (tot.creation_cost + tot.replay_cost) / t_last_end
 
-    __slots__ = (
-        "tasks_executed",
-        "tasks_created",
-        "tasks_replayed",
-        "edges",
-        "edges_avoided",
-        "redirects",
-        "msgs_posted",
-        "msgs_completed",
-        "barriers",
-        "discovery_cost",
-        "t_last_end",
-        "ranks",
+
+def sim_registry(
+    recorder: "TraceRecorder", registry: Optional[MetricsRegistry] = None
+) -> MetricsRegistry:
+    """Write a recording's counts into ``registry`` (or a new one)."""
+    r = registry if registry is not None else MetricsRegistry()
+    tot = recorder.counters.totals()
+    r.counter(
+        "repro_sim_tasks_total", "Task bodies executed"
+    ).inc(recorder.n_spans)
+    r.counter(
+        "repro_sim_tasks_created_total",
+        "Tasks whose depend clauses discovery resolved",
+    ).inc(tot.tasks_created)
+    r.counter(
+        "repro_sim_tasks_replayed_total",
+        "Template tasks re-stamped by persistent replay (opt p)",
+    ).inc(tot.replay_stamps)
+    r.counter(
+        "repro_sim_edges_total", "Dependency edges materialized"
+    ).inc(tot.edges_created)
+    r.counter(
+        "repro_sim_edges_avoided_total",
+        "Edge creations avoided (deduplicated + pruned)",
+    ).inc(tot.edges_skipped)
+    r.counter(
+        "repro_sim_redirect_nodes_total",
+        "Redirect stub nodes inserted by discovery",
+    ).inc(tot.redirect_nodes)
+    msgs = r.counter(
+        "repro_sim_msgs_total", "MPI request events by stage", ("stage",)
     )
-
-    def __init__(self) -> None:
-        self.tasks_executed = 0
-        self.tasks_created = 0
-        self.tasks_replayed = 0
-        self.edges = 0
-        self.edges_avoided = 0
-        self.redirects = 0
-        self.msgs_posted = 0
-        self.msgs_completed = 0
-        #: barrier kind -> count ("taskwait" / "iteration" / "loop").
-        self.barriers: dict[str, int] = {}
-        #: Simulated seconds charged to dependency discovery (creation
-        #: resolution plus persistent-replay re-arming).
-        self.discovery_cost = 0.0
-        #: Latest simulated task-end time seen (the makespan proxy).
-        self.t_last_end = 0.0
-        self.ranks = 0
-
-    # -- bus hooks (hot path: attribute increments only) ----------------
-    def on_task_end(self, table, tid, worker, t_start, t_end) -> None:
-        self.tasks_executed += 1
-        if t_end > self.t_last_end:
-            self.t_last_end = t_end
-
-    def on_task_create(self, table, tid, res, cost, time) -> None:
-        self.tasks_created += 1
-        self.discovery_cost += cost
-        self.edges += res.n_edges
-        self.edges_avoided += res.n_skipped
-        self.redirects += res.n_redirects
-
-    def on_task_replay(self, table, tid, iteration, cost, time) -> None:
-        self.tasks_replayed += 1
-        self.discovery_cost += cost
-
-    def on_msg_post(self, record) -> None:
-        self.msgs_posted += 1
-
-    def on_msg_complete(self, record) -> None:
-        self.msgs_completed += 1
-
-    def on_barrier(self, kind, time) -> None:
-        self.barriers[kind] = self.barriers.get(kind, 0) + 1
-
-    def on_register(self, table, rank) -> None:
-        self.ranks += 1
-
-    # -- derived ---------------------------------------------------------
-    def discovery_share(self) -> float:
-        """Discovery seconds over the last simulated task-end time.
-
-        A per-rank-summed numerator over a makespan denominator, so the
-        share can exceed the single-rank intuition on wide runs; what
-        matters is that identical runs report identical shares.
-        """
-        if self.t_last_end <= 0:
-            return 0.0
-        return self.discovery_cost / self.t_last_end
-
-    # -- registry materialization ----------------------------------------
-    def fill_registry(
-        self, registry: Optional[MetricsRegistry] = None
-    ) -> MetricsRegistry:
-        """Write the accumulated counts into ``registry`` (or a new one)."""
-        r = registry if registry is not None else MetricsRegistry()
-        r.counter(
-            "repro_sim_tasks_total", "Task bodies executed"
-        ).inc(self.tasks_executed)
-        r.counter(
-            "repro_sim_tasks_created_total",
-            "Tasks whose depend clauses discovery resolved",
-        ).inc(self.tasks_created)
-        r.counter(
-            "repro_sim_tasks_replayed_total",
-            "Template tasks re-stamped by persistent replay (opt p)",
-        ).inc(self.tasks_replayed)
-        r.counter(
-            "repro_sim_edges_total", "Dependency edges materialized"
-        ).inc(self.edges)
-        r.counter(
-            "repro_sim_edges_avoided_total",
-            "Edge creations avoided (deduplicated + pruned)",
-        ).inc(self.edges_avoided)
-        r.counter(
-            "repro_sim_redirect_nodes_total",
-            "Redirect stub nodes inserted by discovery",
-        ).inc(self.redirects)
-        msgs = r.counter(
-            "repro_sim_msgs_total", "MPI request events by stage", ("stage",)
-        )
-        msgs.labels("posted").inc(self.msgs_posted)
-        msgs.labels("completed").inc(self.msgs_completed)
-        barriers = r.counter(
-            "repro_sim_barriers_total",
-            "Synchronization points reached by kind",
-            ("kind",),
-        )
-        for kind in sorted(self.barriers):
-            barriers.labels(kind).inc(self.barriers[kind])
-        r.gauge(
-            "repro_sim_ranks", "Runtimes registered on the bus"
-        ).set(float(self.ranks))
-        r.gauge(
-            "repro_sim_makespan_seconds",
-            "Last simulated task-end time observed",
-        ).set(self.t_last_end)
-        r.gauge(
-            "repro_sim_discovery_seconds",
-            "Simulated seconds charged to dependency discovery",
-        ).set(self.discovery_cost)
-        r.gauge(
-            "repro_sim_discovery_share",
-            "Discovery seconds over the simulated makespan",
-        ).set(self.discovery_share())
-        return r
+    records = recorder.comm_records
+    msgs.labels("posted").inc(len(records))
+    msgs.labels("completed").inc(
+        sum(1 for rec in records if not math.isnan(rec.complete_time))
+    )
+    barriers = r.counter(
+        "repro_sim_barriers_total",
+        "Synchronization points reached by kind",
+        ("kind",),
+    )
+    for kind, n in sorted(Counter(recorder.barrier_kind).items()):
+        barriers.labels(kind).inc(n)
+    r.gauge(
+        "repro_sim_ranks", "Runtimes registered on the bus"
+    ).set(float(len(recorder.ranks)))
+    r.gauge(
+        "repro_sim_makespan_seconds",
+        "Last simulated task-end time observed",
+    ).set(max(recorder.span_end, default=0.0))
+    r.gauge(
+        "repro_sim_discovery_seconds",
+        "Simulated seconds charged to dependency discovery",
+    ).set(tot.creation_cost + tot.replay_cost)
+    r.gauge(
+        "repro_sim_discovery_share",
+        "Discovery seconds over the simulated makespan",
+    ).set(discovery_share(recorder))
+    return r

@@ -37,35 +37,22 @@ class ProfileReport:
     cp: Optional[CriticalPathResult]
     #: The rank whose tid space ``compiled``/``cp`` describe.
     profiled_rank: int
-    #: Cheap per-run counts from the same bus (tasks, comm, barriers,
-    #: discovery share) — ``sim_metrics.fill_registry()`` turns them into
-    #: exportable metric families.
-    sim_metrics: "Optional[object]" = None
 
 
 def profile_spec(spec: "ExperimentSpec") -> ProfileReport:
     """Run ``spec`` with a recorder attached and analyze the recording.
 
-    Tracing is forced on (the recorder needs ``task_end`` spans); beyond
-    that the run is exactly what ``run_experiment(spec)`` executes — the
-    bus subscribers observe without perturbing (the determinism suite's
-    observer-neutrality contract).
+    The recorder is the only observer, and the run is exactly what
+    ``run_experiment(spec)`` executes — the bus subscriber observes
+    without perturbing (the determinism suite's observer-neutrality
+    contract), and the spec keeps its own key.
     """
-    from dataclasses import replace
-
     from repro.campaign.runner import build_programs, derive_config, run_experiment
-    from repro.metrics.sim import SimMetrics
     from repro.sim import InstrumentationBus
 
     cfg = derive_config(spec)
-    if not cfg.trace:
-        spec = replace(spec, config=replace(spec.config, trace=True))
-        cfg = derive_config(spec)
-
     bus = InstrumentationBus()
-    recorder = TraceRecorder()
-    bus.attach(recorder)
-    sim_metrics = bus.attach(SimMetrics())
+    recorder = bus.attach(TraceRecorder())
     result = run_experiment(spec, bus=bus)
     profiled_rank = result.extra.get("cluster", {}).get("profiled_rank", 0)
 
@@ -90,7 +77,6 @@ def profile_spec(spec: "ExperimentSpec") -> ProfileReport:
         compiled=compiled,
         cp=cp,
         profiled_rank=profiled_rank,
-        sim_metrics=sim_metrics,
     )
 
 
@@ -107,6 +93,7 @@ def _fmt_bytes(n: float) -> str:
 
 def text_report(report: ProfileReport) -> str:
     """The human-readable profile: breakdown, counters, critical path."""
+    from repro.metrics.sim import discovery_share
     from repro.profiler.breakdown import breakdown_of
 
     lines: list[str] = []
@@ -164,13 +151,12 @@ def text_report(report: ProfileReport) -> str:
         f"trace: {n} task spans, {len(report.recorder.barrier_kind)} "
         f"barriers, {len(report.recorder.comm_records)} MPI requests"
     )
-    if report.sim_metrics is not None:
-        sm = report.sim_metrics
-        lines.append(
-            f"sim metrics: discovery share {sm.discovery_share():.4f} "
-            f"({sm.tasks_created} created + {sm.tasks_replayed} replayed "
-            f"over makespan {sm.t_last_end:.6f}s)"
-        )
+    rec = report.recorder
+    lines.append(
+        f"sim metrics: discovery share {discovery_share(rec):.4f} "
+        f"({tot['tasks_created']} created + {tot['replay_stamps']} replayed "
+        f"over makespan {max(rec.span_end, default=0.0):.6f}s)"
+    )
     return "\n".join(lines)
 
 

@@ -1,8 +1,12 @@
 """Profiling and post-mortem analysis (the paper's §2.3.1/§4.1 methodology)."""
 
-from repro.profiler.trace import CommRecord, TaskTrace
+from repro.profiler.trace import CommRecord
 from repro.profiler.breakdown import Breakdown, breakdown_of
-from repro.profiler.comm_metrics import CommMetrics, comm_metrics
+from repro.profiler.comm_metrics import (
+    CommMetrics,
+    comm_metrics,
+    work_intervals_by_worker,
+)
 from repro.profiler.gantt import GanttChart, gantt_of
 from repro.profiler.report import (
     LoopProfile,
@@ -13,7 +17,6 @@ from repro.profiler.report import (
 
 __all__ = [
     "CommRecord",
-    "TaskTrace",
     "Breakdown",
     "breakdown_of",
     "CommMetrics",
@@ -24,4 +27,5 @@ __all__ = [
     "iteration_spans",
     "loop_profiles",
     "text_report",
+    "work_intervals_by_worker",
 ]

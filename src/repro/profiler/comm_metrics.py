@@ -1,6 +1,6 @@
 """Communication metrics (§4.1 "Methodology on Communications Profiling").
 
-Given the PMPI-style request records and the task trace of one MPI process:
+Given the PMPI-style request records and the task spans of one MPI process:
 
 - the **communication time** of a request r is ``c(r) = completion - post``;
 - the **overlapped work** ``ov(r)`` is the work executed on any local core
@@ -13,10 +13,27 @@ Given the PMPI-style request records and the task trace of one MPI process:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.profiler.trace import CommRecord, TaskTrace
+from repro.profiler.trace import CommRecord
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.recorder import TraceRecorder
+
+
+def work_intervals_by_worker(
+    trace: "TraceRecorder", n_workers: int
+) -> list[np.ndarray]:
+    """Per-worker ``(start, end)`` span arrays sorted by start time."""
+    cols = trace.arrays()
+    out: list[np.ndarray] = []
+    for w in range(n_workers):
+        mask = cols["worker"] == w
+        iv = np.stack([cols["start"][mask], cols["end"][mask]], axis=1)
+        out.append(iv[np.argsort(iv[:, 0])])
+    return out
 
 
 class _Coverage:
@@ -76,7 +93,7 @@ class CommMetrics:
 
 def comm_metrics(
     records: list[CommRecord],
-    trace: TaskTrace,
+    trace: "TraceRecorder",
     n_threads: int,
 ) -> CommMetrics:
     """Compute §4.1 metrics.  Only sends and collectives are considered."""
@@ -87,7 +104,7 @@ def comm_metrics(
         and not np.isnan(r.complete_time)
     ]
     coverages = [
-        _Coverage(iv) for iv in trace.work_intervals_by_worker(n_threads)
+        _Coverage(iv) for iv in work_intervals_by_worker(trace, n_threads)
     ]
     comm_time = 0.0
     overlapped = 0.0

@@ -9,10 +9,12 @@ boundaries exactly as in the paper's bottom chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.profiler.trace import TaskTrace
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.recorder import TraceRecorder
 
 #: Glyph cycle: iteration i renders as _GLYPHS[i % len].
 _GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -80,14 +82,14 @@ class GanttChart:
 
 
 def gantt_of(
-    trace: TaskTrace,
+    trace: "TraceRecorder",
     n_threads: int,
     *,
     width: int = 100,
     t0: float | None = None,
     t1: float | None = None,
 ) -> GanttChart:
-    """Build a Gantt chart from a task trace.
+    """Build a Gantt chart from a recording's task spans.
 
     Buckets take the iteration of the latest-starting task covering them.
     """

@@ -3,7 +3,7 @@
 The MPC-OMP profiler's post-mortem analyses (§2.3.1) answer "where does the
 time go" at the loop level: which of LULESH's 33 loops dominates the work
 time, which gets the worst grain, how the iteration timeline divides.  This
-module reproduces those views from a recorded task trace.
+module reproduces those views from a recording's task spans.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.profiler.trace import TaskTrace
-
 if TYPE_CHECKING:  # pragma: no cover - circular at runtime
+    from repro.obs.recorder import TraceRecorder
     from repro.runtime.result import RunResult
 
 
@@ -40,11 +39,11 @@ class LoopProfile:
 
 
 def loop_profiles(
-    trace: TaskTrace,
+    trace: "TraceRecorder",
     *,
     names: Optional[dict[int, str]] = None,
 ) -> list[LoopProfile]:
-    """Aggregate a task trace by loop id, ordered by descending work.
+    """Aggregate a recording's spans by loop id, ordered by descending work.
 
     ``names`` optionally maps loop ids to labels; otherwise the most common
     task-name prefix (up to ``[``) of each loop is used.
@@ -52,7 +51,7 @@ def loop_profiles(
     cols = trace.arrays()
     if len(cols["loop"]) == 0:
         return []
-    task_names = trace.names()
+    task_names = trace.span_names()
     out = []
     for loop_id in np.unique(cols["loop"]):
         mask = cols["loop"] == loop_id
@@ -79,7 +78,7 @@ def loop_profiles(
     return out
 
 
-def iteration_spans(trace: TaskTrace) -> list[tuple[int, float, float]]:
+def iteration_spans(trace: "TraceRecorder") -> list[tuple[int, float, float]]:
     """(iteration, first start, last end) per outer iteration."""
     cols = trace.arrays()
     out = []
@@ -116,7 +115,7 @@ def text_report(result: "RunResult", *, top: int = 10) -> str:
         f"memory: L1DCM {m.l1_misses} L2DCM {m.l2_misses} L3CM {m.l3_misses}, "
         f"DRAM {m.bytes_dram / 1e6:.1f} MB, stalls {m.total_stall_cycles:.3g} cyc"
     )
-    if result.trace is None or len(result.trace) == 0:
+    if result.trace is None or result.trace.n_spans == 0:
         lines.append("(no task trace recorded — run with trace=True for loop detail)")
         return "\n".join(lines)
 

@@ -1,16 +1,13 @@
-"""Task and communication trace records (the MPC-OMP profiler substitute).
+"""Communication trace records (the PMPI side of the MPC-OMP profiler).
 
-The paper's profiler writes task schedule/creation/dependency events to a
-pre-allocated DRAM region and flushes post-mortem (§2.3.1).  Here records
-accumulate in column lists and are frozen to numpy arrays on demand, which
-keeps per-event cost low and post-mortem analysis vectorized.
+Task spans are recorded by :class:`repro.obs.recorder.TraceRecorder`;
+this module keeps the per-request MPI record both the runtimes and the
+recorder share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(slots=True)
@@ -50,136 +47,3 @@ class CommRecord:
             if f in d:
                 d[f] = desanitize_float(d[f])
         return flat_from_dict(cls, d)
-
-
-class TaskTrace:
-    """Columnar trace of task executions on one simulated process."""
-
-    __slots__ = ("_tid", "_loop", "_iter", "_worker", "_start", "_end", "_names", "enabled")
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._tid: list[int] = []
-        self._loop: list[int] = []
-        self._iter: list[int] = []
-        self._worker: list[int] = []
-        self._start: list[float] = []
-        self._end: list[float] = []
-        self._names: list[str] = []
-
-    # ------------------------------------------------------------------
-    def record(
-        self,
-        tid: int,
-        name: str,
-        loop_id: int,
-        iteration: int,
-        worker: int,
-        start: float,
-        end: float,
-    ) -> None:
-        if not self.enabled:
-            return
-        self._tid.append(tid)
-        self._names.append(name)
-        self._loop.append(loop_id)
-        self._iter.append(iteration)
-        self._worker.append(worker)
-        self._start.append(start)
-        self._end.append(end)
-
-    def __len__(self) -> int:
-        return len(self._tid)
-
-    # ------------------------------------------------------------------
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Freeze to a column dict of numpy arrays."""
-        return {
-            "tid": np.asarray(self._tid, dtype=np.int64),
-            "loop": np.asarray(self._loop, dtype=np.int32),
-            "iteration": np.asarray(self._iter, dtype=np.int32),
-            "worker": np.asarray(self._worker, dtype=np.int32),
-            "start": np.asarray(self._start, dtype=np.float64),
-            "end": np.asarray(self._end, dtype=np.float64),
-        }
-
-    def names(self) -> list[str]:
-        """Task names, aligned with :meth:`arrays` rows."""
-        return list(self._names)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Columnar JSON-ready dict; inverse of :meth:`from_dict`."""
-        return {
-            "tid": list(self._tid),
-            "name": list(self._names),
-            "loop": list(self._loop),
-            "iteration": list(self._iter),
-            "worker": list(self._worker),
-            "start": list(self._start),
-            "end": list(self._end),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TaskTrace":
-        trace = cls(enabled=True)
-        trace._tid = [int(v) for v in data["tid"]]
-        trace._names = [str(v) for v in data["name"]]
-        trace._loop = [int(v) for v in data["loop"]]
-        trace._iter = [int(v) for v in data["iteration"]]
-        trace._worker = [int(v) for v in data["worker"]]
-        trace._start = [float(v) for v in data["start"]]
-        trace._end = [float(v) for v in data["end"]]
-        return trace
-
-    # ------------------------------------------------------------------
-    def to_json_lines(self) -> str:
-        """Serialize to JSON-lines (one task record per line).
-
-        The analogue of the MPC-OMP profiler's trace flush: suitable for
-        external tooling (timeline viewers, pandas).
-        """
-        import json
-
-        cols = self.arrays()
-        names = self.names()
-        lines = []
-        for i in range(len(names)):
-            lines.append(json.dumps({
-                "tid": int(cols["tid"][i]),
-                "name": names[i],
-                "loop": int(cols["loop"][i]),
-                "iteration": int(cols["iteration"][i]),
-                "worker": int(cols["worker"][i]),
-                "start": float(cols["start"][i]),
-                "end": float(cols["end"][i]),
-            }))
-        return "\n".join(lines)
-
-    @classmethod
-    def from_json_lines(cls, text: str) -> "TaskTrace":
-        """Rebuild a trace from :meth:`to_json_lines` output."""
-        import json
-
-        trace = cls(enabled=True)
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            trace.record(
-                rec["tid"], rec["name"], rec["loop"], rec["iteration"],
-                rec["worker"], rec["start"], rec["end"],
-            )
-        return trace
-
-    def work_intervals_by_worker(self, n_workers: int) -> list[np.ndarray]:
-        """Per-worker sorted (start, end) arrays — feeds overlap analysis."""
-        cols = self.arrays()
-        out: list[np.ndarray] = []
-        for w in range(n_workers):
-            mask = cols["worker"] == w
-            iv = np.stack([cols["start"][mask], cols["end"][mask]], axis=1)
-            iv = iv[np.argsort(iv[:, 0])]
-            out.append(iv)
-        return out

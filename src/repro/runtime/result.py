@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.core.graph import EdgeStats
 from repro.memory.hierarchy import MemCounters
-from repro.profiler.trace import CommRecord, TaskTrace
+from repro.profiler.trace import CommRecord
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.recorder import TraceRecorder
 
 
 @dataclass
@@ -45,8 +48,8 @@ class RunResult:
     edges: EdgeStats
     #: Memory hierarchy counters.
     mem: MemCounters
-    #: Optional full task trace.
-    trace: Optional[TaskTrace] = None
+    #: This rank's task spans, when the config asked for ``trace``.
+    trace: Optional["TraceRecorder"] = None
     #: Traced MPI requests (sends + collectives, §4.1).
     comm: list[CommRecord] = field(default_factory=list)
     #: Free-form extras (per-app metrics, scheduler stats...).
@@ -127,7 +130,7 @@ class RunResult:
     def to_dict(self) -> dict:
         """JSON-ready dict; inverse of :meth:`from_dict`.
 
-        This is the on-disk format of the campaign result cache: numpy
+        This is the stored document of the campaign result store: numpy
         arrays become lists (float repr round-trips doubles exactly), the
         optional trace serializes columnar, and ``extra`` passes through
         (campaign results keep it JSON-only).
@@ -151,7 +154,7 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunResult":
-        from repro.profiler.trace import TaskTrace as _TaskTrace
+        from repro.obs.recorder import TraceRecorder
 
         return cls(
             name=data["name"],
@@ -167,7 +170,7 @@ class RunResult:
             mem=MemCounters.from_dict(data["mem"]),
             trace=(
                 None if data.get("trace") is None
-                else _TaskTrace.from_dict(data["trace"])
+                else TraceRecorder.from_dict(data["trace"])
             ),
             comm=[CommRecord.from_dict(r) for r in data.get("comm", [])],
             extra=dict(data.get("extra", {})),

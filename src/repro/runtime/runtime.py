@@ -48,11 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover - circular at runtime
     from repro.mpi.comm import Communicator
     from repro.mpi.request import Request
 from repro.accel.accelerator import Accelerator, AcceleratorSpec
-from repro.profiler.trace import CommRecord, TaskTrace
+from repro.obs.recorder import TraceRecorder
+from repro.profiler.trace import CommRecord
 from repro.runtime.costs import DiscoveryCosts, SchedulerCosts
 from repro.runtime.result import RunResult
 from repro.runtime.scheduler import make_scheduler
-from repro.sim import EventQueue, InstrumentationBus, SimContext, TraceSubscriber
+from repro.sim import EventQueue, InstrumentationBus, SimContext
 
 # TaskState values as plain ints (the hot path compares ints, see
 # repro.sim.table).
@@ -229,17 +230,21 @@ class TaskRuntime:
             else None
         )
         self.scheduler = make_scheduler(config.scheduler, n, seed=config.seed)
-        self.trace = TaskTrace(enabled=config.trace)
         self.comm_records: list[CommRecord] = []
 
         self._persistent_mode = config.opts.p and program.persistent_candidate
         self.graph = TaskGraph(persistent=self._persistent_mode)
         self.table = self.graph.table
         self.resolver = DependenceResolver(self.table, config.opts)
+        #: This rank's span recording (``config.trace``), else None.
+        self.trace: Optional[TraceRecorder] = None
         if config.trace:
             # Filter on our table: on a shared (cluster-wide) bus the
             # per-rank trace must not absorb other ranks' task events.
-            self.bus.attach(TraceSubscriber(self.trace, table=self.table))
+            # Spans are all a result carries, so only task_end subscribes.
+            self.trace = TraceRecorder(table=self.table)
+            self.trace.on_register(self.table, rank)
+            self.bus.subscribe("task_end", self.trace.on_task_end)
         cbs = self.bus.register
         if cbs:
             for cb in cbs:
@@ -383,7 +388,7 @@ class TaskRuntime:
             n_tasks=self._n_completed_user,
             edges=self.graph.stats,
             mem=self.memory.counters,
-            trace=self.trace if self.config.trace else None,
+            trace=self.trace,
             comm=list(self.comm_records),
             extra={
                 "scheduler": {

@@ -32,12 +32,7 @@ All three execution engines (:class:`~repro.runtime.runtime.TaskRuntime`,
 from repro.sim.bus import HOOK_DOCS, HookBus, InstrumentationBus
 from repro.sim.context import SimContext
 from repro.sim.events import EventQueue
-from repro.sim.subscribers import (
-    CommRecorder,
-    EventCounter,
-    MemorySampler,
-    TraceSubscriber,
-)
+from repro.sim.subscribers import EventCounter, MemorySampler
 from repro.sim.table import TaskTable
 
 # tiers pulls in the runtime layer, which itself builds on this kernel
@@ -65,7 +60,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "AnalyticSimulator",
-    "CommRecorder",
     "DEFAULT_FIDELITY",
     "DesSimulator",
     "FIDELITIES",
@@ -79,7 +73,6 @@ __all__ = [
     "SimContext",
     "Simulator",
     "TaskTable",
-    "TraceSubscriber",
     "get_simulator",
     "simulate",
 ]

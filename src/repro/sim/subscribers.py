@@ -1,9 +1,10 @@
 """Stock subscribers for the instrumentation bus.
 
-Each class here is an observer the engines used to hard-wire: the task
-trace, the communication record list, memory-counter sampling.  They
-subscribe to :class:`~repro.sim.bus.InstrumentationBus` hooks instead, so a
-run that doesn't want them pays nothing, and external tooling can write its
+Each class here is an observer of the bus: an event counter and
+memory-counter sampling.  (Task spans, MPI request records and discovery
+counters are recorded by :class:`repro.obs.recorder.TraceRecorder`.)  They
+subscribe to :class:`~repro.sim.bus.InstrumentationBus` hooks, so a run
+that doesn't want them pays nothing, and external tooling can write its
 own observer the same way (any object with ``on_<hook>`` methods —
 see the bus module docstring for hook signatures).
 """
@@ -11,59 +12,6 @@ see the bus module docstring for hook signatures).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
-
-from repro.profiler.trace import CommRecord, TaskTrace
-
-
-class TraceSubscriber:
-    """Record completed task bodies into a :class:`TaskTrace`.
-
-    Wraps an existing trace (or creates one) and fills it from ``task_end``
-    events — the Gantt/profiler recording that used to be an inline call in
-    every engine's completion path.
-
-    ``table`` restricts recording to events emitted for that task table.
-    A per-rank trace attached to a *shared* bus (several ranks emitting on
-    one timeline) must filter this way, or it would absorb every other
-    rank's tasks; with a private per-runtime bus the filter never rejects.
-    """
-
-    __slots__ = ("trace", "table")
-
-    def __init__(self, trace: Optional[TaskTrace] = None, *, table=None):
-        self.trace = trace if trace is not None else TaskTrace(enabled=True)
-        self.table = table
-
-    def on_task_end(self, table, tid, worker, t_start, t_end) -> None:
-        if self.table is not None and table is not self.table:
-            return
-        self.trace.record(
-            tid,
-            table.name[tid],
-            table.loop_id[tid],
-            table.iteration[tid],
-            worker,
-            t_start,
-            t_end,
-        )
-
-
-class CommRecorder:
-    """Collect :class:`CommRecord` entries from message hooks.
-
-    ``msg_post`` delivers the record with its completion time still NaN;
-    ``msg_complete`` delivers the same (now filled-in) object, so the list
-    holds each request exactly once, in posting order.
-    """
-
-    __slots__ = ("records",)
-
-    def __init__(self, records: Optional[list[CommRecord]] = None):
-        self.records = records if records is not None else []
-
-    def on_msg_post(self, record: CommRecord) -> None:
-        self.records.append(record)
 
 
 class EventCounter:

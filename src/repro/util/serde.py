@@ -67,7 +67,7 @@ def canonical_json(obj: Any) -> str:
 
     ``json`` renders floats with ``repr``, which round-trips IEEE doubles
     exactly; with sorted keys and no whitespace drift, equal values always
-    produce byte-identical documents — the property the result cache and
+    produce byte-identical documents — the property the result store and
     the campaign determinism tests rely on.  NaN (legal in e.g. a
     :class:`~repro.profiler.trace.CommRecord` that never completed) is
     mapped to a sentinel string because strict JSON has no NaN.

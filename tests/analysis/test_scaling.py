@@ -71,3 +71,29 @@ class TestValidation:
 
     def test_empty_efficiency(self):
         assert weak_scaling_efficiency([]) == []
+
+
+class TestProbeStore:
+    def test_sqlite_locator_is_a_store_file(self, tmp_path):
+        from repro.db import CampaignDB
+
+        path = tmp_path / "x.sqlite"
+        kw = dict(mode="weak", s_weak=8, sim_iterations=1,
+                  report_iterations=2, fixed_tpl=4)
+        first = lulesh_scaling([1], cache=str(path), **kw)
+        assert path.is_file()
+        with CampaignDB(path) as db:
+            before = db.table_counts()
+        assert before["runs"] > 0
+        # A second study reads every probe back and stores nothing new.
+        assert lulesh_scaling([1], cache=path, **kw) == first
+        with CampaignDB(path) as db:
+            assert db.table_counts() == before
+
+    def test_directory_locator_holds_one_store(self, tmp_path):
+        from repro.db import STORE_FILENAME
+
+        lulesh_scaling([1], mode="weak", s_weak=8, sim_iterations=1,
+                       report_iterations=2, fixed_tpl=4, cache=tmp_path)
+        assert (tmp_path / STORE_FILENAME).is_file()
+        assert not list(tmp_path.glob("*/*.json"))

@@ -1,12 +1,17 @@
-"""ResultCache: content-addressed entries, atomicity, error records."""
+"""The campaign result store: content-addressed entries, error records.
+
+``open_store(directory)`` is what ``--cache-dir`` and the campaign engine
+use; every result lands in ``<directory>/campaign.sqlite``.
+"""
 
 from __future__ import annotations
 
 import json
 
-from repro.campaign.cache import CACHE_FORMAT, ResultCache
 from repro.campaign.runner import run_experiment
 from repro.campaign.spec import ExperimentSpec
+from repro.db import STORE_FILENAME, CampaignDB, DbResultStore, open_store
+from repro.db.schema import SCHEMA_VERSION
 from repro.memory.machine import tiny_test_machine
 from repro.runtime import presets
 from repro.util.serde import canonical_json
@@ -23,7 +28,9 @@ def spec(**kw) -> ExperimentSpec:
 
 class TestCache:
     def test_miss_then_hit(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = open_store(tmp_path)
+        assert isinstance(cache, DbResultStore)
+        assert cache.db.path == tmp_path / STORE_FILENAME
         s = spec()
         assert cache.get(s) is None
         assert not cache.contains(s)
@@ -35,15 +42,8 @@ class TestCache:
         # the stored result round-trips bitwise
         assert canonical_json(got.to_dict()) == canonical_json(res.to_dict())
 
-    def test_entries_are_sharded_by_key_prefix(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        s = spec()
-        path = cache.path_for(s.key)
-        assert path.parent.name == s.key[:2]
-        assert path.name == f"{s.key}.json"
-
     def test_len_and_keys(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = open_store(tmp_path)
         assert len(cache) == 0
         specs = [spec(seed=i) for i in range(3)]
         for s in specs:
@@ -52,25 +52,28 @@ class TestCache:
         assert cache.keys() == sorted(s.key for s in specs)
 
     def test_format_mismatch_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = open_store(tmp_path)
         s = spec()
         cache.put(s, run_experiment(s))
-        doc = json.loads(cache.path_for(s.key).read_text())
-        assert doc["format"] == CACHE_FORMAT
-        doc["format"] = CACHE_FORMAT + 1
-        cache.path_for(s.key).write_text(json.dumps(doc))
-        assert cache.get(s) is None
+        cache.db.close()
+        with CampaignDB(cache.db.path) as db:
+            db.conn.execute(
+                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                (str(SCHEMA_VERSION + 1),),
+            )
+        reopened = open_store(tmp_path)
+        assert reopened.get(s) is None
+        assert not reopened.contains(s)
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        (tmp_path / STORE_FILENAME).write_text("{not a store")
+        cache = open_store(tmp_path)
         s = spec()
-        p = cache.path_for(s.key)
-        p.parent.mkdir(parents=True)
-        p.write_text("{not json")
         assert cache.get(s) is None
+        assert cache.get_error(s) is None
 
     def test_error_records(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = open_store(tmp_path)
         s = spec()
         assert cache.get_error(s) is None
         cache.put_error(s, "Traceback: boom")
@@ -81,11 +84,13 @@ class TestCache:
         assert cache.get(s) is not None
 
     def test_entry_is_canonical_json(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = open_store(tmp_path)
         s = spec()
-        cache.put(s, run_experiment(s))
-        text = cache.path_for(s.key).read_text()
-        doc = json.loads(text)
-        assert text.strip() == canonical_json(doc)
-        assert doc["key"] == s.key
-        assert doc["spec"] == s.to_dict()
+        res = run_experiment(s)
+        cache.put(s, res)
+        (spec_doc, run_doc), = cache.db.read.execute(
+            "SELECT s.doc, r.doc FROM specs s JOIN runs r ON r.key = s.key "
+            "WHERE s.key = ?", (s.key,)
+        ).fetchall()
+        assert run_doc == canonical_json(res.to_dict())
+        assert json.loads(spec_doc) == s.to_dict()

@@ -1,11 +1,11 @@
-"""run_campaign: fan-out determinism, cache reuse, retry/timeout robustness."""
+"""run_campaign: fan-out determinism, store reuse, retry/timeout robustness."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.campaign.bus import CampaignBus
-from repro.campaign.cache import ResultCache
+from repro.db import open_store
 from repro.campaign.engine import run_campaign
 from repro.campaign.runner import run_experiment
 from repro.campaign.spec import ExperimentSpec
@@ -38,7 +38,7 @@ class TestSerial:
         assert out.n_executed == 3
 
     def test_cache_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = open_store(tmp_path)
         first = run_campaign(SPECS[:3], cache=cache)
         second = run_campaign(SPECS[:3], cache=cache)
         assert second.n_cached == 3 and second.n_executed == 0
@@ -66,12 +66,12 @@ class TestParallelDeterminism:
     def test_eight_workers_bitwise_identical_to_serial(self, tmp_path):
         serial = run_campaign(SPECS)
         assert serial.ok
-        parallel = run_campaign(SPECS, jobs=8, cache=ResultCache(tmp_path))
+        parallel = run_campaign(SPECS, jobs=8, cache=open_store(tmp_path))
         assert parallel.ok
         assert fingerprints(parallel) == fingerprints(serial)
 
     def test_second_parallel_pass_all_cache_hits(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = open_store(tmp_path)
         first = run_campaign(SPECS[:4], jobs=4, cache=cache)
         assert first.ok and first.n_executed == 4
         second = run_campaign(SPECS[:4], jobs=4, cache=cache)
@@ -80,7 +80,7 @@ class TestParallelDeterminism:
         assert fingerprints(first) == fingerprints(second)
 
     def test_mutating_one_spec_reruns_exactly_that_run(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = open_store(tmp_path)
         run_campaign(SPECS[:4], jobs=2, cache=cache)
         mutated = list(SPECS[:4])
         mutated[2] = mutated[2].with_params(tpl=99)
@@ -90,7 +90,7 @@ class TestParallelDeterminism:
         assert not out.records[2].cached
 
     def test_no_resume_reexecutes_everything(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = open_store(tmp_path)
         run_campaign(SPECS[:3], jobs=2, cache=cache)
         out = run_campaign(SPECS[:3], jobs=2, cache=cache, reuse_cache=False)
         assert out.n_executed == 3 and out.n_cached == 0
@@ -101,7 +101,7 @@ class TestRobustness:
         # An invalid spec param set makes every worker die; with the
         # default retry-once the record shows two attempts.
         bad = spec(params={"s": 6, "iterations": 1, "tpl": 2, "bogus": 1})
-        out = run_campaign([bad], jobs=2, cache=ResultCache(tmp_path))
+        out = run_campaign([bad], jobs=2, cache=open_store(tmp_path))
         assert out.n_failed == 1
         assert out.records[0].attempts == 2
         assert "bogus" in out.records[0].error  # worker traceback captured
@@ -110,7 +110,7 @@ class TestRobustness:
         # A run far too big to finish within the deadline.
         big = spec(app="cholesky", params={"n": 4096, "b": 16})
         out = run_campaign(
-            [big], jobs=1, cache=ResultCache(tmp_path), timeout=0.2, retries=0
+            [big], jobs=1, cache=open_store(tmp_path), timeout=0.2, retries=0
         )
         assert out.n_failed == 1
         assert "timed out" in out.records[0].error
@@ -129,7 +129,7 @@ class TestBusEvents:
         bus.subscribe("run_done", lambda i, s, r, w: events.append(("done", i)))
         bus.subscribe("run_cached", lambda i, s, r: events.append(("cached", i)))
         bus.subscribe("campaign_done", lambda r: events.append(("fin",)))
-        cache = ResultCache(tmp_path)
+        cache = open_store(tmp_path)
         run_campaign(SPECS[:2], cache=cache, bus=bus)
         assert events == [("start", 0), ("done", 0), ("start", 1), ("done", 1),
                           ("fin",)]
@@ -152,7 +152,7 @@ class TestSpecKeyInResult:
         assert run_experiment(s).extra["spec_key"] == s.key
 
     def test_campaign_result_to_dict_is_deterministic(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = open_store(tmp_path)
         a = run_campaign(SPECS[:3], jobs=2, cache=cache)
         b = run_campaign(SPECS[:3], jobs=2, cache=cache)
         da, db = a.to_dict(), b.to_dict()

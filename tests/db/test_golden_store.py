@@ -1,18 +1,21 @@
-"""Acceptance gate: the golden campaign through both store backends.
+"""Acceptance gate: the golden campaign through the result store.
 
 The 19-spec golden set (``repro.campaign.crosscheck.golden_specs``) runs
-once into the JSON ``ResultCache`` and once into a ``DbResultStore``;
-both backends must hand back bit-identical RunResults on cache hits, and
-the SQL rows must mirror the result documents they were derived from.
+once in-process with no result store (the reference; it gets a fresh
+compiled-graph cache, as a campaign directory would) and once into a
+``DbResultStore``; executed results and store hits must both be
+bit-identical to the reference, a resume must add no rows, and the SQL
+rows must mirror the result documents they were derived from.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.campaign.cache import ResultCache
 from repro.campaign.crosscheck import golden_specs
 from repro.campaign.engine import run_campaign
+from repro.campaign.runner import run_experiment
+from repro.core.compiled import CompiledGraphCache
 from repro.db import CampaignDB, DbResultStore
 from repro.util.serde import canonical_json
 
@@ -21,29 +24,29 @@ from repro.util.serde import canonical_json
 def golden(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     specs = golden_specs()
-    json_out = run_campaign(specs, cache=ResultCache(root / "json"))
+    compiled = CompiledGraphCache.for_campaign(root / "reference")
+    reference = [run_experiment(s, compiled_cache=compiled) for s in specs]
     db_out = run_campaign(specs, store=root / "store.sqlite", campaign="g")
-    assert json_out.ok and db_out.ok
-    return root, specs, json_out, db_out
+    assert db_out.ok and db_out.n_executed == len(specs)
+    return root, specs, reference, db_out
+
+
+def docs(results):
+    return [canonical_json(r.to_dict()) for r in results]
 
 
 class TestGoldenStoreParity:
     def test_executed_results_bitwise_equal(self, golden):
-        _, _, json_out, db_out = golden
-        a = [canonical_json(r.to_dict()) for r in json_out.results]
-        b = [canonical_json(r.to_dict()) for r in db_out.results]
-        assert a == b
+        _, _, reference, db_out = golden
+        assert docs(db_out.results) == docs(reference)
 
     def test_cache_hits_bitwise_equal_across_backends(self, golden):
-        root, specs, _, first = golden
-        cache = ResultCache(root / "json")
+        # The two result paths: the store's hits and the store-less run.
+        root, specs, reference, _ = golden
         store = DbResultStore(root / "store.sqlite")
-        for spec in specs:
-            from_json = cache.get(spec)
-            from_db = store.get(spec)
-            assert from_json is not None and from_db is not None
-            assert (canonical_json(from_db.to_dict())
-                    == canonical_json(from_json.to_dict()))
+        hits = [store.get(spec) for spec in specs]
+        assert all(hit is not None for hit in hits)
+        assert docs(hits) == docs(reference)
 
     def test_resume_is_all_hits_and_adds_no_rows(self, golden):
         root, specs, _, _ = golden

@@ -1,4 +1,4 @@
-"""CampaignDB / DbResultStore: cache contract, WAL concurrency, resume."""
+"""CampaignDB / DbResultStore: store contract, WAL concurrency, resume."""
 
 from __future__ import annotations
 
@@ -6,11 +6,11 @@ import sqlite3
 
 import pytest
 
-from repro.campaign.cache import ResultCache
 from repro.campaign.engine import run_campaign
 from repro.campaign.runner import run_experiment
 from repro.campaign.spec import ExperimentSpec
 from repro.db import (
+    STORE_FILENAME,
     CampaignDB,
     DbResultStore,
     SCHEMA_VERSION,
@@ -76,16 +76,20 @@ class TestDbResultStore:
         _, rows = db.query("SELECT campaign FROM runs WHERE key = ?", (s.key,))
         assert rows == [("alpha",)]
 
-    def test_same_keys_as_json_cache(self, tmp_path):
-        # the content-addressed key is the spec's, not the backend's
+    def test_close_leaves_only_the_store_file(self, tmp_path):
         store = DbResultStore(tmp_path / "s.sqlite")
-        cache = ResultCache(tmp_path / "json")
+        store.put(spec(), run_experiment(spec()))
+        assert store.get(spec()) is not None  # opens the read connection
+        store.db.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.sqlite"]
+
+    def test_same_keys_through_any_locator(self, tmp_path):
+        # the content-addressed key is the spec's, not the locator's
         s = spec()
-        res = run_experiment(s)
-        store.put(s, res)
-        cache.put(s, res)
-        assert store.keys() == [s.key]
-        assert cache.get(s) is not None and store.get(s) is not None
+        DbResultStore(tmp_path / STORE_FILENAME).put(s, run_experiment(s))
+        by_dir = open_store(tmp_path)
+        assert by_dir.keys() == [s.key]
+        assert by_dir.get(s) is not None
 
 
 class TestOpenStore:
@@ -93,9 +97,11 @@ class TestOpenStore:
         st = open_store(str(tmp_path / "x.sqlite"))
         assert isinstance(st, DbResultStore)
 
-    def test_directory_dispatches_to_json_cache(self, tmp_path):
+    def test_directory_opens_its_store_file(self, tmp_path):
         st = open_store(str(tmp_path / "cachedir"))
-        assert isinstance(st, ResultCache)
+        assert isinstance(st, DbResultStore)
+        assert st.db.path == tmp_path / "cachedir" / STORE_FILENAME
+        assert st.root == tmp_path / "cachedir"
 
     def test_existing_db_file_dispatches_by_content(self, tmp_path):
         path = tmp_path / "oddname"
@@ -170,7 +176,7 @@ class TestCampaignIntegration:
 
     def test_store_and_cache_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(ValueError, match="not both"):
-            run_campaign(SPECS[:1], cache=ResultCache(tmp_path),
+            run_campaign(SPECS[:1], cache=tmp_path,
                          store=tmp_path / "s.sqlite")
 
     def test_two_worker_campaign_into_one_store(self, tmp_path):

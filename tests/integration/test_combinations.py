@@ -126,7 +126,7 @@ class TestPriorityInteractions:
                               flops=100.0, priority=True))
         prog = Program.from_template(specs, 1)
         r = TaskRuntime(prog, cfg(trace=True, n_threads=2)).run()
-        names = r.trace.names()
+        names = r.trace.span_names()
         cols = r.trace.arrays()
         urgent_start = cols["start"][names.index("urgent")]
         # Despite being submitted last, the priority task starts before

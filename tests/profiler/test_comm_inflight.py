@@ -13,7 +13,7 @@ import pytest
 
 from repro.obs import TraceRecorder, iter_ndjson, to_perfetto, validate_perfetto
 from repro.profiler.comm_metrics import comm_metrics
-from repro.profiler.trace import CommRecord, TaskTrace
+from repro.profiler.trace import CommRecord
 from repro.util.serde import canonical_json
 
 
@@ -51,8 +51,10 @@ class TestSerdeRoundTrip:
 
 class TestMetricsSkipInFlight:
     def test_in_flight_not_counted(self):
-        trace = TaskTrace()
-        trace.record(0, "t", 0, 0, 0, 0.0, 10.0)
+        trace = TraceRecorder.from_dict({
+            "tid": [0], "name": ["t"], "loop": [0], "iteration": [0],
+            "worker": [0], "start": [0.0], "end": [10.0],
+        })
         m = comm_metrics([in_flight(), CommRecord("isend", 0, 1, 64, 1.0, 2.0)],
                          trace, n_threads=1)
         assert m.n_requests == 1

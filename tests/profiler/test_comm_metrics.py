@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 
 from repro.profiler.comm_metrics import CommMetrics, _Coverage, comm_metrics
-from repro.profiler.trace import CommRecord, TaskTrace
+from repro.obs import TraceRecorder
+from repro.profiler.trace import CommRecord
 
 
 def trace_with(intervals_by_worker):
-    t = TaskTrace()
-    tid = 0
-    for w, ivs in enumerate(intervals_by_worker):
-        for a, b in ivs:
-            t.record(tid, f"t{tid}", 0, 0, w, a, b)
-            tid += 1
-    return t
+    spans = [
+        (w, a, b) for w, ivs in enumerate(intervals_by_worker) for a, b in ivs
+    ]
+    n = len(spans)
+    return TraceRecorder.from_dict({
+        "tid": list(range(n)),
+        "name": [f"t{tid}" for tid in range(n)],
+        "loop": [0] * n,
+        "iteration": [0] * n,
+        "worker": [w for w, _, _ in spans],
+        "start": [a for _, a, _ in spans],
+        "end": [b for _, _, b in spans],
+    })
 
 
 class TestCoverage:
@@ -84,7 +91,7 @@ class TestCommMetrics:
 
     def test_bad_threads_rejected(self):
         with pytest.raises(ValueError):
-            comm_metrics([], TaskTrace(), 0)
+            comm_metrics([], TraceRecorder(), 0)
 
     def test_str_smoke(self):
         trace = trace_with([[(0.0, 1.0)]])

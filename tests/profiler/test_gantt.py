@@ -1,15 +1,21 @@
 """Unit tests for the ASCII Gantt chart."""
 
 
+from repro.obs import TraceRecorder
 from repro.profiler.gantt import gantt_of
-from repro.profiler.trace import TaskTrace
 
 
 def trace_of(records):
-    t = TaskTrace()
-    for tid, (worker, iteration, start, end) in enumerate(records):
-        t.record(tid, f"t{tid}", 0, iteration, worker, start, end)
-    return t
+    n = len(records)
+    return TraceRecorder.from_dict({
+        "tid": list(range(n)),
+        "name": [f"t{tid}" for tid in range(n)],
+        "loop": [0] * n,
+        "iteration": [it for _, it, _, _ in records],
+        "worker": [w for w, _, _, _ in records],
+        "start": [a for _, _, a, _ in records],
+        "end": [b for _, _, _, b in records],
+    })
 
 
 class TestGantt:
@@ -58,5 +64,5 @@ class TestGantt:
         assert "span" in out
 
     def test_empty_trace(self):
-        g = gantt_of(TaskTrace(), 2, width=10)
+        g = gantt_of(TraceRecorder(), 2, width=10)
         assert (g.grid == -1).all()

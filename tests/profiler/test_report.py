@@ -46,9 +46,9 @@ class TestLoopProfiles:
         assert any(p.name == "ALPHA" for p in profiles)
 
     def test_empty_trace(self):
-        from repro.profiler.trace import TaskTrace
+        from repro.obs import TraceRecorder
 
-        assert loop_profiles(TaskTrace()) == []
+        assert loop_profiles(TraceRecorder()) == []
 
 
 class TestIterationSpans:

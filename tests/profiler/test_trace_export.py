@@ -1,36 +1,48 @@
-"""Round-trip tests for trace serialization."""
+"""Round-trip tests for trace serialization and the NDJSON span export."""
+
+import json
 
 import numpy as np
 
-from repro.profiler.trace import TaskTrace
+from repro.obs import TraceRecorder, iter_ndjson
 
 
 def sample_trace():
-    t = TaskTrace()
-    t.record(0, "a[0]", 1, 0, 2, 0.0, 1.5)
-    t.record(1, "b[0]", 2, 1, 3, 1.5, 2.25)
-    return t
+    return TraceRecorder.from_dict({
+        "tid": [0, 1],
+        "name": ["a[0]", "b[0]"],
+        "loop": [1, 2],
+        "iteration": [0, 1],
+        "worker": [2, 3],
+        "start": [0.0, 1.5],
+        "end": [1.5, 2.25],
+    })
+
+
+def task_lines(recorder):
+    return [
+        json.loads(line) for line in iter_ndjson(recorder)
+        if json.loads(line)["ev"] == "task"
+    ]
 
 
 class TestJsonLines:
     def test_round_trip(self):
         t = sample_trace()
-        t2 = TaskTrace.from_json_lines(t.to_json_lines())
+        t2 = TraceRecorder.from_dict(json.loads(json.dumps(t.to_dict())))
         a, b = t.arrays(), t2.arrays()
         for k in a:
             assert np.array_equal(a[k], b[k]), k
-        assert t.names() == t2.names()
+        assert t.span_names() == t2.span_names()
+        assert t2.to_dict() == t.to_dict()
 
     def test_one_line_per_record(self):
-        assert len(sample_trace().to_json_lines().splitlines()) == 2
+        assert len(task_lines(sample_trace())) == 2
 
     def test_empty_trace(self):
-        assert TaskTrace().to_json_lines() == ""
-        assert len(TaskTrace.from_json_lines("")) == 0
-
-    def test_blank_lines_ignored(self):
-        t = TaskTrace.from_json_lines("\n" + sample_trace().to_json_lines() + "\n\n")
-        assert len(t) == 2
+        empty = TraceRecorder()
+        assert task_lines(empty) == []
+        assert TraceRecorder.from_dict(empty.to_dict()).n_spans == 0
 
     def test_runtime_trace_exports(self):
         from repro.core import ProgramBuilder
@@ -44,6 +56,6 @@ class TestJsonLines:
         r = TaskRuntime(
             b.build(), RuntimeConfig(machine=tiny_test_machine(2), trace=True)
         ).run()
-        text = r.trace.to_json_lines()
-        assert len(text.splitlines()) == 5
-        assert '"worker"' in text
+        lines = task_lines(r.trace)
+        assert len(lines) == 5
+        assert all("worker" in line for line in lines)

@@ -42,7 +42,7 @@ class TestTaskwaitExecution:
         r = rt.run()
         assert r.n_tasks == 3
         cols = r.trace.arrays()
-        names = r.trace.names()
+        names = r.trace.span_names()
         start_c = cols["start"][names.index("c")]
         end_ab = max(cols["end"][names.index("a")], cols["end"][names.index("b")])
         assert start_c >= end_ab - 1e-12
@@ -55,7 +55,7 @@ class TestTaskwaitExecution:
         prog = Program.from_template(specs, 1)
         r = TaskRuntime(prog, cfg(trace=True)).run()
         cols = r.trace.arrays()
-        names = r.trace.names()
+        names = r.trace.span_names()
         assert cols["start"][names.index("c")] < cols["end"][names.index("a")]
 
     def test_persistent_replay_honors_taskwait(self):
@@ -63,7 +63,7 @@ class TestTaskwaitExecution:
         r = TaskRuntime(prog, cfg(opts=OptimizationSet.parse("abcp"), trace=True)).run()
         assert r.n_tasks == 9
         cols = r.trace.arrays()
-        names = r.trace.names()
+        names = r.trace.span_names()
         for k in range(len(names)):
             pass  # trace sanity below per iteration
         for it in range(3):

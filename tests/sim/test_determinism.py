@@ -22,6 +22,7 @@ from repro.runtime.parallel_for import (
     LoopSpec,
     ParallelForRuntime,
 )
+from repro.obs import iter_ndjson
 from repro.sim import EventCounter, InstrumentationBus, SimContext
 
 
@@ -76,10 +77,15 @@ def pingpong(rank):
     return b.build()
 
 
+def ndjson(trace):
+    """A run's task trace as its NDJSON event log (one line per span)."""
+    return "\n".join(iter_ndjson(trace))
+
+
 def run_task(bus=None):
     rt = TaskRuntime(task_program(), cfg(trace=True), bus=bus)
     res = rt.run()
-    return res.trace.to_json_lines(), rt.engine.n_dispatched, res.makespan
+    return ndjson(res.trace), rt.engine.n_dispatched, res.makespan
 
 
 def run_for(bus=None):
@@ -92,7 +98,7 @@ def run_cluster(bus=None):
     cluster = Cluster(2, ctx=SimContext(seed=7), bus=bus)
     res = cluster.run([pingpong(0), pingpong(1)],
                       [cfg(trace=True), cfg(trace=True)])
-    traces = tuple(r.trace.to_json_lines() for r in res.results)
+    traces = tuple(ndjson(r.trace) for r in res.results)
     return traces, res.n_events, res.makespan
 
 
@@ -177,3 +183,29 @@ class TestRecorderNeutrality:
         assert recorder.comm_records  # MPI requests observed
         # Spans from both ranks, attributed via register events.
         assert {0, 1} <= set(recorder.span_rank)
+
+    def test_run_trace_matches_bus_recorder_span_for_span(self):
+        """Each rank's ``RunResult.trace`` holds exactly the spans a
+        bus-wide recorder attributes to that rank, in the same order."""
+        from repro.obs import TraceRecorder
+
+        bus = InstrumentationBus()
+        recorder = bus.attach(TraceRecorder())
+        res = Cluster(2, ctx=SimContext(seed=7), bus=bus).run(
+            [pingpong(0), pingpong(1)], [cfg(trace=True), cfg(trace=True)]
+        )
+        names = recorder.span_names()
+        for rank, result in enumerate(res.results):
+            rows = [i for i in range(recorder.n_spans)
+                    if recorder.span_rank[i] == rank]
+            assert rows
+            assert result.trace.span_rank == [rank] * len(rows)
+            assert result.trace.to_dict() == {
+                "tid": [recorder.span_tid[i] for i in rows],
+                "name": [names[i] for i in rows],
+                "loop": [recorder.span_loop[i] for i in rows],
+                "iteration": [recorder.span_iteration[i] for i in rows],
+                "worker": [recorder.span_worker[i] for i in rows],
+                "start": [recorder.span_start[i] for i in rows],
+                "end": [recorder.span_end[i] for i in rows],
+            }

@@ -156,12 +156,16 @@ class TestSweepJobs:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "best TPL=" in out
-        # One result per point, plus one compiled-graph artifact per
-        # distinct program structure (3 TPLs) under compiled/.
+        # One store row per point, plus one compiled-graph artifact per
+        # distinct program structure (3 TPLs) under compiled/; no result
+        # lands as a JSON file.
+        from repro.db import open_store
+
+        assert len(open_store(cache)) == 3
         results = [p for p in cache.rglob("*.json")
                    if "compiled" not in p.parts]
         compiled = [p for p in cache.rglob("*.json") if "compiled" in p.parts]
-        assert len(results) == 3
+        assert results == []
         assert len(compiled) == 3
 
 
