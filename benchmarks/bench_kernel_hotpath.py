@@ -180,7 +180,7 @@ def main(argv=None) -> int:
     ap.add_argument("--save-baseline", action="store_true",
                     help=f"also record results to {BASELINE_PATH.name}")
     ap.add_argument("--check", action="store_true",
-                    help="exit 1 if speedup vs baseline < --min-speedup")
+                    help="evaluate and report every gate; exit 1 if any fails")
     ap.add_argument("--min-speedup", type=float, default=1.5)
     ap.add_argument("--min-replay-speedup", type=float, default=1.3,
                     help="gate for the persistent replay case (default 1.3)")
@@ -262,48 +262,53 @@ def main(argv=None) -> int:
           f"hook-check tax {obs['quiet_hook_overhead_frac']:.2%}")
 
     if args.check:
-        # Two gates: the headline discovery-bound case (listed first; the
-        # sim-kernel refactor's target, where per-task discovery work
-        # dominates) and the persistent replay case (listed second; the
-        # compiled-TDG replay path, which turns per-task PTSG re-arming
-        # into bulk CSR array resets).  Both are best-of-``--repeats``
-        # against the committed pre-refactor baseline.
+        # Every gate is evaluated and reported; the exit code fails if
+        # any one of them did.
+        failed = 0
+
+        def gate(ok: bool, msg: str) -> None:
+            nonlocal failed
+            if ok:
+                print(f"OK: {msg}")
+            else:
+                failed += 1
+                print(f"FAIL: {msg}", file=sys.stderr)
+
+        # Two speedup gates: the headline discovery-bound case (listed
+        # first; the sim-kernel refactor's target, where per-task
+        # discovery work dominates) and the persistent replay case (listed
+        # second; the compiled-TDG replay path, which turns per-task PTSG
+        # re-arming into bulk CSR array resets).  Both are
+        # best-of-``--repeats`` against the committed pre-refactor
+        # baseline.
         gates = [(results[0], args.min_speedup)]
         if len(results) > 1:
             gates.append((results[1], args.min_replay_speedup))
         for rec, floor in gates:
             ratio = rec.get("speedup_vs_baseline")
             if ratio is None:
-                print("no baseline recorded; run --save-baseline first",
-                      file=sys.stderr)
-                return 1
-            if ratio < floor:
-                print(f"FAIL: {rec['case']} speedup {ratio:.2f}x < {floor}x",
-                      file=sys.stderr)
-                return 1
-            print(f"OK: {rec['case']} speedup {ratio:.2f}x >= {floor}x")
+                gate(False, f"{rec['case']} has no baseline recorded; "
+                            "run --save-baseline first")
+                continue
+            op = ">=" if ratio >= floor else "<"
+            gate(ratio >= floor,
+                 f"{rec['case']} speedup {ratio:.2f}x {op} {floor}x")
         # Third gate: the counter hooks must stay ~free when nobody
         # listens.  The estimate is (microbenchmarked per-check cost) x
         # (one check per task) over the quiet wall time.
         frac = obs["quiet_hook_overhead_frac"]
-        if frac > args.max_hook_overhead:
-            print(f"FAIL: {obs['case']} quiet-bus hook-check tax "
-                  f"{frac:.2%} > {args.max_hook_overhead:.0%}",
-                  file=sys.stderr)
-            return 1
-        print(f"OK: {obs['case']} quiet-bus hook-check tax {frac:.2%} "
-              f"<= {args.max_hook_overhead:.0%}")
+        ok = frac <= args.max_hook_overhead
+        gate(ok, f"{obs['case']} quiet-bus hook-check tax {frac:.2%} "
+                 f"{'<=' if ok else '>'} {args.max_hook_overhead:.0%}")
         # Fourth gate: streaming the recording into a SQLite store must
         # stay close to the plain in-RAM recorder — the batched
         # executemany drains amortize to a list append per span.
         ratio = obs["db_overhead_ratio"]
-        if ratio > args.max_db_overhead:
-            print(f"FAIL: {obs['case']} streaming-store overhead "
-                  f"{ratio:.2f}x > {args.max_db_overhead:.2f}x",
-                  file=sys.stderr)
+        ok = ratio <= args.max_db_overhead
+        gate(ok, f"{obs['case']} streaming-store overhead {ratio:.2f}x "
+                 f"{'<=' if ok else '>'} {args.max_db_overhead:.2f}x")
+        if failed:
             return 1
-        print(f"OK: {obs['case']} streaming-store overhead {ratio:.2f}x "
-              f"<= {args.max_db_overhead:.2f}x")
     return 0
 
 

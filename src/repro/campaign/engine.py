@@ -154,6 +154,8 @@ def _worker_entry(spec_json: str, locator: str, campaign: str = "") -> None:
             cache.put_error(spec, traceback.format_exc())
         finally:
             raise SystemExit(1)
+    finally:
+        cache.db.close()
 
 
 def _mp_context():
@@ -204,7 +206,8 @@ def run_campaign(
         executes in its own worker process.
     cache:
         A :class:`~repro.db.DbResultStore`, a locator path (a ``.sqlite``
-        file, or a directory holding ``campaign.sqlite``), or None —
+        file, or a directory holding ``campaign.sqlite``; the store it
+        names is closed again before this returns), or None —
         parallel and timeout modes need a store as the result channel,
         so None then means a store in a temporary directory (discarded
         afterwards).
@@ -250,7 +253,8 @@ def run_campaign(
         if cache is not None:
             raise ValueError("pass either cache= or store=, not both")
         cache = store
-    if isinstance(cache, (str, Path)):
+    owned = isinstance(cache, (str, Path))
+    if owned:
         cache = open_store(cache, campaign=campaign)
     if campaign and cache is not None:
         cache.campaign = campaign
@@ -318,7 +322,11 @@ def run_campaign(
             tmpdir.cleanup()
 
     out = CampaignResult(records=records, wall=time.monotonic() - t0)
-    _emit(bus.campaign_done, out)
+    try:
+        _emit(bus.campaign_done, out)
+    finally:
+        if owned:
+            cache.db.close()
     return out
 
 

@@ -30,10 +30,11 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from repro.core.graph_stats import EdgeStats
+from repro.core.graph_stats import EdgeStats, topo_order
 from repro.util.serde import canonical_json, content_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -226,6 +227,16 @@ class CompiledTDG:
     def comm_tids(self) -> list[int]:
         """Tids that post an MPI request, in submission order."""
         return [t for t, k in enumerate(self.comm_kind) if k >= 0]
+
+    @cached_property
+    def order(self) -> list[int]:
+        """Tids in the one topological order every DAG walk follows.
+
+        :func:`~repro.core.graph_stats.topo_order` over the CSR, computed
+        on first use and kept for the artifact's lifetime; derived, so
+        never serialized.
+        """
+        return topo_order(self.succ_offsets, self.succ_targets)
 
     def successors(self, tid: int) -> list[int]:
         return self.succ_targets[self.succ_offsets[tid]:self.succ_offsets[tid + 1]]
@@ -562,26 +573,10 @@ class CompiledGraphCache:
     def put(self, compiled: CompiledTDG) -> Path:
         """Store ``compiled`` under its key, atomically."""
         key = compiled.key
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = canonical_json(
-            {"format": COMPILED_FORMAT, "key": key, "compiled": compiled.to_dict()}
+        return _write_atomic(
+            self.path_for(key),
+            {"format": COMPILED_FORMAT, "key": key, "compiled": compiled.to_dict()},
         )
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(doc)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
 
     # ------------------------------------------------------------------
     # alias index: arbitrary string key -> structural signature
@@ -607,26 +602,10 @@ class CompiledGraphCache:
 
     def put_alias(self, alias: str, key: str) -> Path:
         """Record ``alias -> key``, atomically."""
-        path = self.alias_path(alias)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = canonical_json(
-            {"format": COMPILED_FORMAT, "alias": alias, "key": key}
+        return _write_atomic(
+            self.alias_path(alias),
+            {"format": COMPILED_FORMAT, "alias": alias, "key": key},
         )
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{alias[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(doc)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
 
     def invalidate(self, key: str) -> bool:
         """Drop a stale artifact (e.g. after a
@@ -645,3 +624,24 @@ class CompiledGraphCache:
     def keys(self) -> list[str]:
         """Sorted keys of every stored artifact."""
         return sorted(p.stem for p in self.root.glob("*/*.json"))
+
+
+def _write_atomic(path: Path, doc: dict) -> Path:
+    """Write ``doc`` as canonical JSON to ``path`` via temp file + rename."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = canonical_json(doc)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.stem[:8]}-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return path

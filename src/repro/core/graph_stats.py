@@ -8,13 +8,14 @@ compiled CSR ``(offsets, targets)`` pair directly — the representation
 every frozen graph (:class:`~repro.core.compiled.CompiledTDG`,
 :meth:`~repro.sim.table.TaskTable.build_csr`) already holds — so depth,
 critical path and average parallelism need no per-task objects and no
-external graph library.
+external graph library.  Every DAG walk over such a pair follows the one
+order :func:`topo_order` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(slots=True)
@@ -81,59 +82,86 @@ class GraphShape:
         )
 
 
+def topo_order(offsets: Sequence[int], targets: Sequence[int]) -> list[int]:
+    """The FIFO Kahn topological order of a CSR DAG.
+
+    ``targets[offsets[t]:offsets[t + 1]]`` are ``t``'s successors
+    (duplicates allowed).  Sources come first in tid order, then each node
+    as soon as its last predecessor was emitted.  Tid order itself is
+    *not* topological: an opt-(c) redirect stub is created while the
+    consumer resolves, so it gets a larger tid than the task it feeds.
+    Every DAG walk over a frozen TDG uses this one order; raises
+    ``ValueError`` on a cycle.
+    """
+    n = max(len(offsets) - 1, 0)
+    indeg = [0] * n
+    for s in targets:
+        indeg[s] += 1
+    order = [t for t in range(n) if indeg[t] == 0]
+    # The list is its own FIFO queue: iteration picks up appended nodes.
+    for t in order:
+        for s in targets[offsets[t]:offsets[t + 1]]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                order.append(s)
+    if len(order) != n:
+        raise ValueError("graph contains a cycle; not a discovered TDG")
+    return order
+
+
+def _relax(
+    offsets: Sequence[int],
+    targets: Sequence[int],
+    weights: Sequence[float],
+    order: Sequence[int],
+) -> tuple[list[int], list[float]]:
+    """Per-node depth level (sources at 1) and weighted finish time."""
+    n = len(offsets) - 1
+    level = [1] * n
+    #: Longest weighted path *ending at* each node's predecessors.
+    start = [0.0] * n
+    finish = [0.0] * n
+    for t in order:
+        ft = finish[t] = start[t] + weights[t]
+        nl = level[t] + 1
+        for s in targets[offsets[t]:offsets[t + 1]]:
+            if nl > level[s]:
+                level[s] = nl
+            if ft > start[s]:
+                start[s] = ft
+    return level, finish
+
+
 def shape_from_csr(
     offsets: Sequence[int],
     targets: Sequence[int],
     weights: Sequence[float],
+    order: Optional[Sequence[int]] = None,
 ) -> GraphShape:
-    """Shape metrics of a CSR graph in one Kahn pass.
+    """Shape metrics of a CSR graph in one pass over its topological order.
 
     ``targets[offsets[t]:offsets[t + 1]]`` are ``t``'s successors;
     duplicate edges are harmless for depth/span (max over predecessors)
     and are folded out of :attr:`GraphShape.n_edges`.  ``weights`` is the
-    per-node cost, aligned by node index.
+    per-node cost, aligned by node index.  ``order`` is the graph's
+    :func:`topo_order` when the caller already holds it (a
+    :attr:`CompiledTDG.order <repro.core.compiled.CompiledTDG.order>`).
     """
     n = len(offsets) - 1
     if n <= 0:
         return GraphShape(0, 0, 0, 0.0, 0.0, 0.0)
-    indeg = [0] * n
-    for s in targets:
-        indeg[s] += 1
-    depth = [1] * n
-    #: Longest weighted path *ending at* each node's predecessors.
-    pred_span = [0.0] * n
-    stack = [t for t in range(n) if indeg[t] == 0]
-    seen = 0
-    max_depth = 0
-    tinf = 0.0
-    unique = 0
-    while stack:
-        t = stack.pop()
-        seen += 1
-        d = depth[t]
-        span = pred_span[t] + weights[t]
-        if d > max_depth:
-            max_depth = d
-        if span > tinf:
-            tinf = span
-        nd = d + 1
-        succ = targets[offsets[t]:offsets[t + 1]]
-        unique += len(set(succ))
-        for s in succ:
-            if nd > depth[s]:
-                depth[s] = nd
-            if span > pred_span[s]:
-                pred_span[s] = span
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                stack.append(s)
-    if seen != n:
-        raise ValueError("CSR graph contains a cycle")
+    if order is None:
+        order = topo_order(offsets, targets)
+    level, finish = _relax(offsets, targets, weights, order)
+    tinf = max(finish)
+    unique = sum(
+        len(set(targets[offsets[t]:offsets[t + 1]])) for t in range(n)
+    )
     total = sum(weights)
     return GraphShape(
         n_tasks=n,
         n_edges=unique,
-        depth=max_depth,
+        depth=max(level),
         critical_path_weight=tinf,
         total_weight=total,
         avg_parallelism=(total / tinf) if tinf > 0 else 0.0,
@@ -147,29 +175,9 @@ def width_profile_from_csr(
     n = len(offsets) - 1
     if n <= 0:
         return []
-    indeg = [0] * n
-    for s in targets:
-        indeg[s] += 1
-    level = [1] * n
-    stack = [t for t in range(n) if indeg[t] == 0]
-    seen = 0
-    max_level = 0
-    while stack:
-        t = stack.pop()
-        seen += 1
-        lv = level[t]
-        if lv > max_level:
-            max_level = lv
-        nl = lv + 1
-        for s in targets[offsets[t]:offsets[t + 1]]:
-            if nl > level[s]:
-                level[s] = nl
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                stack.append(s)
-    if seen != n:
-        raise ValueError("CSR graph contains a cycle")
-    out = [0] * max_level
+    order = topo_order(offsets, targets)
+    level, _ = _relax(offsets, targets, [0.0] * n, order)
+    out = [0] * max(level)
     for lv in level:
         out[lv - 1] += 1
     return out

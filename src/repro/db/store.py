@@ -137,8 +137,17 @@ class CampaignDB:
 
     def close(self) -> None:
         # Read connection first: only a writable last connection can
-        # checkpoint the WAL and remove the -wal/-shm files.
-        for conn in (self._read, self._conn):
+        # checkpoint the WAL and remove the -wal/-shm files.  A store
+        # that was only read here (other processes wrote it, e.g.
+        # campaign workers) gets a short-lived writable handle for that.
+        last = self._conn
+        if last is None and self._read is not None:
+            last = sqlite3.connect(self.path, isolation_level=None)
+            try:
+                last.execute("SELECT 1 FROM sqlite_master LIMIT 1")
+            except sqlite3.Error:
+                pass
+        for conn in (self._read, last):
             if conn is not None:
                 conn.close()
         self._conn = self._read = None

@@ -288,40 +288,69 @@ def _result(
 # ======================================================================
 # analytic tier
 # ======================================================================
-def _segment_spans(
-    compiled: "CompiledTDG", weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-segment (T₁, T∞) plus the whole-graph critical path.
+def _segment_sum(seg: list[int], n_seg: int, weights: np.ndarray) -> float:
+    """T₁ as the sum of per-segment work sums."""
+    t1 = np.zeros(n_seg)
+    np.add.at(t1, seg, weights)
+    return float(t1.sum())
 
-    One forward relaxation over the CSR (tids are topologically ordered
-    by construction); segment spans only follow intra-segment edges —
-    taskwait barriers already serialize cross-segment work.
+
+def _spans(
+    compiled: "CompiledTDG",
+    nom: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> tuple[list[float], list[float], list[float], float, int]:
+    """Per-segment T∞ under three weight vectors, graph T∞ and depth.
+
+    One forward relaxation over :attr:`CompiledTDG.order`.  Segment spans
+    only follow intra-segment edges — taskwait barriers already
+    serialize cross-segment work; the graph T∞ (nominal weights) and the
+    depth in tasks follow every edge.
     """
     seg = compiled.segment
     n_seg = (max(seg) + 1) if seg else 1
-    t1 = np.zeros(n_seg)
-    np.add.at(t1, seg, weights)
     offsets, targets = compiled.succ_offsets, compiled.succ_targets
-    dist = [0.0] * compiled.n_tasks  # finish-time along intra-segment paths
-    dist_g = [0.0] * compiled.n_tasks  # along any path
-    span = [0.0] * n_seg
-    wl = weights.tolist()
-    for t in range(compiled.n_tasks):
+    n = compiled.n_tasks
+    # Finish times along intra-segment paths, one list per weight vector.
+    d_nom, d_lo, d_hi = [0.0] * n, [0.0] * n, [0.0] * n
+    d_all = [0.0] * n  # along any path, nominal weights
+    depth = [1] * n
+    span_nom, span_lo, span_hi = [0.0] * n_seg, [0.0] * n_seg, [0.0] * n_seg
+    w_nom, w_lo, w_hi = nom.tolist(), lo.tolist(), hi.tolist()
+    t_inf = 0.0
+    for t in compiled.order:
         st = seg[t]
-        ft = dist[t] + wl[t]
-        fg = dist_g[t] + wl[t]
-        if ft > span[st]:
-            span[st] = ft
+        f_nom = d_nom[t] + w_nom[t]
+        f_lo = d_lo[t] + w_lo[t]
+        f_hi = d_hi[t] + w_hi[t]
+        f_all = d_all[t] + w_nom[t]
+        nd = depth[t] + 1
+        if f_nom > span_nom[st]:
+            span_nom[st] = f_nom
+        if f_lo > span_lo[st]:
+            span_lo[st] = f_lo
+        if f_hi > span_hi[st]:
+            span_hi[st] = f_hi
+        if f_all > t_inf:
+            t_inf = f_all
         for s in targets[offsets[t]:offsets[t + 1]]:
-            if seg[s] == st and ft > dist[s]:
-                dist[s] = ft
-            if fg > dist_g[s]:
-                dist_g[s] = fg
-    return t1, np.asarray(span), max(dist_g[t] + wl[t] for t in range(len(wl))) if wl else 0.0
+            if seg[s] == st:
+                if f_nom > d_nom[s]:
+                    d_nom[s] = f_nom
+                if f_lo > d_lo[s]:
+                    d_lo[s] = f_lo
+                if f_hi > d_hi[s]:
+                    d_hi[s] = f_hi
+            if f_all > d_all[s]:
+                d_all[s] = f_all
+            if nd > depth[s]:
+                depth[s] = nd
+    return span_nom, span_lo, span_hi, t_inf, max(depth, default=0)
 
 
 class AnalyticSimulator:
-    """Work/span bounds over the CSR — no events, microseconds to run."""
+    """Work/span bounds over the CSR — no events, one pass over the graph."""
 
     fidelity = "analytic"
 
@@ -341,14 +370,16 @@ class AnalyticSimulator:
         # memory-bound steady state); T1/N then reads "all bytes at
         # aggregate DRAM bandwidth".
         body_nom = tw.body + tw.mem_shared * w
-        t1_seg, span_seg, t_inf_graph = _segment_spans(compiled, body_nom)
-        t1_lo_seg, span_lo_seg, _ = _segment_spans(compiled, tw.body_lo)
-        t1_hi_seg, span_hi_seg, _ = _segment_spans(compiled, tw.body_hi)
+        span_seg, span_lo_seg, span_hi_seg, t_inf_graph, depth = _spans(
+            compiled, body_nom, tw.body_lo, tw.body_hi
+        )
+        seg = compiled.segment
+        n_seg = len(span_seg)
 
-        t1 = float(t1_seg.sum()) * rounds
-        t_inf = max(t_inf_graph, float(span_seg.sum())) * rounds
-        t1_lo = float(t1_lo_seg.sum()) * rounds
-        t_inf_lo = float(span_lo_seg.sum()) * rounds
+        t1 = _segment_sum(seg, n_seg, body_nom) * rounds
+        t_inf = max(t_inf_graph, float(np.sum(span_seg))) * rounds
+        t1_lo = _segment_sum(seg, n_seg, tw.body_lo) * rounds
+        t_inf_lo = float(np.sum(span_lo_seg)) * rounds
 
         creation_total = float(tw.creation.sum())
         replay_total = float(tw.replay.sum())
@@ -369,13 +400,13 @@ class AnalyticSimulator:
         # execution — loose but certified-above for every engine mode.
         w_exec = max(1, w - 1)
         upper = disc_total + (
-            float(t1_hi_seg.sum()) / w_exec + float(span_hi_seg.sum())
+            _segment_sum(seg, n_seg, tw.body_hi) / w_exec
+            + float(np.sum(span_hi_seg))
         ) * rounds
         makespan = disc_total + tn_lower if config.non_overlapped else max(
             tn_lower, disc_total
         )
 
-        shape_depth = _depth(compiled)
         bounds = {
             "t1": t1,
             "t_inf": t_inf,
@@ -385,7 +416,7 @@ class AnalyticSimulator:
             "discovery_lower": disc_lo,
             "makespan_lower": lower,
             "makespan_upper": upper,
-            "depth": shape_depth,
+            "depth": depth,
             "avg_parallelism": (t1 / t_inf) if t_inf > 0 else 1.0,
             "rounds": rounds,
         }
@@ -402,23 +433,6 @@ class AnalyticSimulator:
             n_tasks=compiled.n_user_tasks * rounds,
             bounds=bounds,
         )
-
-
-def _depth(compiled: "CompiledTDG") -> int:
-    """Longest path in tasks (unit weights), one forward pass."""
-    offsets, targets = compiled.succ_offsets, compiled.succ_targets
-    n = compiled.n_tasks
-    d = [1] * n
-    best = 1 if n else 0
-    for t in range(n):
-        dt = d[t]
-        if dt > best:
-            best = dt
-        nxt = dt + 1
-        for s in targets[offsets[t]:offsets[t + 1]]:
-            if nxt > d[s]:
-                d[s] = nxt
-    return best
 
 
 # ======================================================================

@@ -111,13 +111,6 @@ class TestGraphLifecycle:
         with pytest.raises(ValueError, match="cycle"):
             g.validate_acyclic()
 
-    def test_topological_order_is_creation_order(self):
-        g = TaskGraph()
-        ts = [g.new_task() for _ in range(4)]
-        g.add_edge(ts[0], ts[2], dedup=False)
-        g.add_edge(ts[1], ts[3], dedup=False)
-        assert g.topological_order() == ts
-
 
 class TestEdgeStats:
     def test_merge(self):

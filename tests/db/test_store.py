@@ -83,6 +83,16 @@ class TestDbResultStore:
         store.db.close()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.sqlite"]
 
+    def test_close_after_worker_campaign_leaves_only_the_store(self, tmp_path):
+        # Workers write the store; the parent only reads it.  Closing the
+        # parent's handle must still checkpoint away the -wal/-shm files.
+        store = open_store(tmp_path)
+        assert run_campaign(SPECS[:2], jobs=2, cache=store).ok
+        store.db.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            STORE_FILENAME, "compiled",
+        ]
+
     def test_same_keys_through_any_locator(self, tmp_path):
         # the content-addressed key is the spec's, not the locator's
         s = spec()

@@ -9,19 +9,27 @@ and the analytic certified bracket ``makespan_lower <= x <=
 makespan_upper`` must contain both the replay and the DES makespan.
 Replay is a model of DES, not a bound on it, so the last link is an
 agreement check (the cross-check tolerance), not an ordering.
+
+The analytic tier walks the artifact's topological order, not tid
+order: on graphs with opt-(c) redirect stubs (whose tids are larger than
+the tasks they feed) its depth and graph T∞ must equal the shape metrics.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.campaign.crosscheck import golden_specs
+from repro.campaign.runner import build_programs, derive_config
 from repro.core import OptimizationSet
 from repro.core.compiled import compile_program
+from repro.core.graph_stats import shape_from_csr
 from repro.core.program import IterationSpec, Program, TaskSpec
 from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
 from repro.runtime import RuntimeConfig
-from repro.sim.tiers import ReplaySimulator, simulate
+from repro.sim.tiers import ReplaySimulator, _spans, simulate, tier_weights
 
 N_ADDRS = 4
 #: Replay-vs-DES agreement on adversarial random graphs.  The campaign
@@ -135,3 +143,67 @@ class TestLadderOrdering:
         for x in (replay.makespan, des.makespan):
             assert lo <= x * (1 + EPS)
             assert x <= hi * (1 + EPS)
+
+
+def check_analytic_walk(art, cfg) -> dict:
+    """Every edge goes forward in ``art.order``, and the analytic depth
+    and graph T∞ equal the shape metrics under the nominal weights."""
+    offsets, targets = art.succ_offsets, art.succ_targets
+    pos = [0] * art.n_tasks
+    for i, t in enumerate(art.order):
+        pos[t] = i
+    assert sorted(art.order) == list(range(art.n_tasks))
+    for p in range(art.n_tasks):
+        for s in targets[offsets[p]:offsets[p + 1]]:
+            assert pos[p] < pos[s]
+
+    bounds = simulate(art, cfg, fidelity="analytic").extra["bounds"]
+    tw = tier_weights(art, cfg)
+    nominal = tw.body + tw.mem_shared * cfg.threads
+    shape = shape_from_csr(offsets, targets, nominal.tolist())
+    _, _, _, t_inf_graph, depth = _spans(art, nominal, tw.body_lo, tw.body_hi)
+    assert bounds["depth"] == depth == shape.depth
+    assert t_inf_graph == shape.critical_path_weight
+    assert bounds["t_inf"] >= shape.critical_path_weight * bounds["rounds"]
+    return bounds
+
+
+REDIRECT_GOLDEN = [s for s in golden_specs() if s.config.opts.c]
+
+
+class TestAnalyticWalksTopologicalOrder:
+    def test_stub_feeding_an_earlier_tid(self):
+        # t0, t1 form an inoutset group; t2 closes it, so the redirect
+        # stub (tid 3) is created after the task it feeds.
+        prog = build_program([
+            [(0, DepMode.INOUTSET)], [(0, DepMode.INOUTSET)], [(0, DepMode.IN)],
+        ])
+        cfg = RuntimeConfig(
+            machine=tiny_test_machine(4), opts=OptimizationSet.parse("abc")
+        )
+        art = compile_program(prog, cfg.opts, costs=cfg.discovery)
+        assert art.n_stubs == 1 and art.successors(3) == [2]
+        assert check_analytic_walk(art, cfg)["depth"] == 3
+
+    @pytest.mark.parametrize(
+        "spec", REDIRECT_GOLDEN, ids=[s.label for s in REDIRECT_GOLDEN]
+    )
+    def test_golden_redirect_specs(self, spec):
+        cfg = derive_config(spec)
+        art = compile_program(
+            build_programs(spec)[0], cfg.opts, costs=cfg.discovery
+        )
+        check_analytic_walk(art, cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=program_shape, threads=st.integers(1, 4))
+    def test_random_inoutset_programs(self, shape, threads):
+        prog = build_program(shape)
+        cfg = RuntimeConfig(
+            machine=tiny_test_machine(4),
+            n_threads=threads,
+            opts=OptimizationSet.parse("abc"),
+        )
+        check_analytic_walk(
+            compile_program(prog, cfg.opts, costs=cfg.discovery), cfg
+        )

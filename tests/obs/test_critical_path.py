@@ -4,12 +4,17 @@ import pytest
 
 from repro.core import ProgramBuilder
 from repro.core.compiled import compile_program
+from repro.core.graph_stats import topo_order
 from repro.core.optimizations import OptimizationSet
 from repro.memory import tiny_test_machine
 from repro.obs import TraceRecorder, measured_critical_path
-from repro.obs.critical_path import _longest_path
+from repro.obs.critical_path import _longest_path as _longest_path_in
 from repro.runtime import RuntimeConfig, TaskRuntime
 from repro.sim import InstrumentationBus
+
+
+def _longest_path(offsets, targets, dur):
+    return _longest_path_in(offsets, targets, dur, topo_order(offsets, targets))
 
 
 def diamond_program(iterations=2):
@@ -67,7 +72,7 @@ class TestLongestPath:
 
     def test_cycle_detected(self):
         with pytest.raises(ValueError, match="cycle"):
-            _longest_path([0, 1, 2], [1, 0], [1.0, 1.0])
+            topo_order([0, 1, 2], [1, 0])
 
 
 class TestMeasuredCriticalPath:

@@ -124,6 +124,15 @@ class TestCampaignCommand:
         assert [r["makespan"] for r in first["runs"]] == \
             [r["makespan"] for r in second["runs"]]
 
+    def test_worker_campaign_leaves_only_the_store(self, tmp_path, capsys):
+        path = self.specfile(tmp_path)
+        cache = tmp_path / "cache"
+        argv = ["campaign", str(path), "--jobs", "2", "--cache-dir", str(cache)]
+        assert main(argv + ["--json"]) == 0
+        assert sorted(p.name for p in cache.iterdir()) == [
+            "campaign.sqlite", "compiled",
+        ]
+
     def test_table_output(self, tmp_path, capsys):
         path = self.specfile(tmp_path)
         rc = main(["campaign", str(path)])
