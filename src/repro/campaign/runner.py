@@ -236,12 +236,12 @@ def run_experiment(
 
     Deterministic: equal specs produce bitwise-equal serialized results,
     in any process — the contract the campaign cache and the parallel
-    fan-out engine are built on.  ``compiled_cache`` attaches a
-    :class:`~repro.core.compiled.CompiledGraphCache` to single-rank task
-    runs: persistent runs publish their frozen TDG artifact there (and
-    report hit/stored under ``extra["compiled_tdg"]``); runs without a
-    cache skip signature hashing entirely, so their serialized results
-    are unchanged.  ``bus`` is handed to the runtime(s) as their
+    fan-out engine are built on.  ``compiled_cache`` (a
+    :class:`~repro.core.compiled.CompiledGraphCache`) serves the cheap
+    tiers: ``replay``/``analytic`` specs look their artifact up there
+    and store it on a miss, reporting ``extra["compiled_tdg"]["cache_hit"]``.
+    DES specs ignore it, so a DES result is the same with or without
+    one.  ``bus`` is handed to the runtime(s) as their
     :class:`~repro.sim.InstrumentationBus`; attach observers before
     calling (the bus carries no state, so a quiet bus keeps the
     determinism contract).
@@ -262,7 +262,7 @@ def run_experiment(
                 [program], [cfg]
             ).results[0]
         else:
-            rt = TaskRuntime(program, cfg, compiled_cache=compiled_cache, bus=bus)
+            rt = TaskRuntime(program, cfg, bus=bus)
             res = rt.run()
             if rt.accelerator is not None:
                 st = rt.accelerator.stats

@@ -3,16 +3,19 @@
 The paper's flagship optimization — the persistent task sub-graph (§3.2) —
 wins by *reusing* a discovered graph instead of rediscovering it.  This
 module gives the reproduction a single frozen representation of a
-discovered TDG that every consumer reads:
+discovered TDG, and one producer of it: :func:`compile_program` walks
+the program through the production
+:class:`~repro.core.dependences.DependenceResolver` exactly as the DES
+producer thread does (record once), and every consumer reads the result
+(replay many times):
 
-- :class:`~repro.runtime.runtime.TaskRuntime` snapshots one after the
-  first persistent iteration (:meth:`CompiledTDG.from_table`) and replays
-  against the same CSR arrays;
-- :mod:`repro.verify` compiles one statically (:func:`compile_program`)
-  instead of maintaining its own shadow graph — static-vs-DES edge
-  equality becomes equality by construction;
-- :mod:`repro.analysis.graphtools` and :mod:`repro.cluster.mapping` read
-  the CSR arrays directly (shape metrics, rank partition summaries).
+- the cheap fidelity tiers (:mod:`repro.sim.tiers`) simulate on its CSR
+  arrays, resolved through :class:`CompiledGraphCache`;
+- :mod:`repro.verify` reads it instead of maintaining its own shadow
+  graph — the DES discovers the same edges (tested, not snapshotted);
+- :mod:`repro.obs`, :mod:`repro.analysis.graphtools` and
+  :mod:`repro.cluster.mapping` read the CSR arrays directly (critical
+  path, shape metrics, rank partition summaries).
 
 Artifacts are content-addressed: :func:`structural_signature` hashes the
 program's *structure* (names, loop ids, dependences, taskwait positions,
@@ -301,26 +304,21 @@ class CompiledTDG:
         spec_pos: Sequence[int],
         owner: int = 0,
         iteration_costs: Sequence[float] = (),
-        disc: Optional[Sequence[tuple[int, int, int, int]]] = None,
+        disc: Sequence[tuple[int, int, int, int]],
     ) -> "CompiledTDG":
         """Freeze a discovered :class:`~repro.sim.table.TaskTable`.
 
-        Cheap by design (one CSR flatten plus column copies): the runtime
-        calls this at the first persistent barrier, on the hot path of an
-        uncached run.  ``segment`` and ``spec_pos`` are supplied by the
+        One CSR flatten plus column copies (:func:`compile_program`'s last
+        step).  ``segment``, ``spec_pos`` and ``disc`` are supplied by the
         caller — the table does not track them.  ``disc`` rows are
         ``(n_addrs, n_edges, n_skipped, n_redirects)`` per tid (zeros for
         stubs), filling the discovery columns.
         """
         n = len(table)
-        if len(segment) != n or len(spec_pos) != n:
+        if not len(segment) == len(spec_pos) == len(disc) == n:
             raise ValueError(
-                f"segment/spec_pos must align with the table "
-                f"({len(segment)}/{len(spec_pos)} vs {n} tasks)"
-            )
-        if disc is not None and len(disc) != n:
-            raise ValueError(
-                f"disc must align with the table ({len(disc)} vs {n} tasks)"
+                f"segment/spec_pos/disc must align with the table "
+                f"({len(segment)}/{len(spec_pos)}/{len(disc)} vs {n} tasks)"
             )
         offsets, targets = table.build_csr()
         stats = EdgeStats()
@@ -365,10 +363,10 @@ class CompiledTDG:
             comm_peer=comm_peer,
             comm_tag=comm_tag,
             comm_nbytes=comm_nbytes,
-            disc_addrs=[row[0] for row in disc] if disc is not None else [],
-            disc_edges=[row[1] for row in disc] if disc is not None else [],
-            disc_skips=[row[2] for row in disc] if disc is not None else [],
-            disc_redirects=[row[3] for row in disc] if disc is not None else [],
+            disc_addrs=[row[0] for row in disc],
+            disc_edges=[row[1] for row in disc],
+            disc_skips=[row[2] for row in disc],
+            disc_redirects=[row[3] for row in disc],
             foot_bytes=foot_bytes,
             distinct_foot_bytes=sum(chunk_extent.values()),
         )
@@ -434,8 +432,9 @@ def compile_program(
     - with optimization (p) active on a persistent candidate, only the
       template iteration is resolved and every later iteration is a
       replay (the implicit barrier resets the resolver) — matching the
-      runtime's persistent mode, and matching the artifact the runtime
-      snapshots at its first persistent barrier *by construction*;
+      runtime's persistent mode.  Like the runtime, a later iteration
+      that diverges from the template raises
+      :class:`~repro.core.persistent.PersistentStructureError`;
     - otherwise every iteration is resolved against the same address
       map, so inter-iteration edges appear exactly as in a
       non-persistent run.
@@ -453,6 +452,7 @@ def compile_program(
     """
     from repro.core.dependences import DependenceResolver
     from repro.core.graph import TaskGraph
+    from repro.core.persistent import check_iteration
 
     persistent = opts.p and program.persistent_candidate
     graph = TaskGraph(persistent=persistent)
@@ -469,6 +469,7 @@ def compile_program(
         it_cost = 0.0
         if persistent and it.index > 0:
             # Replay: no resolution, only firstprivate copies.
+            check_iteration(program.iterations[0], it)
             if costs is not None:
                 it_cost = sum(
                     costs.replay_cost(spec)
@@ -537,7 +538,9 @@ class CompiledGraphCache:
     ``<root>/<key[:2]>/<key>.json`` entries written atomically (temp file
     + ``os.replace``), safe under concurrent writers, resumable.  A hit
     means "this exact program structure was already compiled" — by this
-    process, a campaign worker, or a previous run entirely.
+    process, a campaign worker, or a previous run entirely.  The
+    directory is made on the first write, so a campaign that stores no
+    artifact (DES-only) leaves none behind.
     """
 
     #: Subdirectory of a campaign directory holding its compiled graphs.
@@ -545,7 +548,6 @@ class CompiledGraphCache:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     @classmethod
     def for_campaign(cls, cache_root: Union[str, Path]) -> "CompiledGraphCache":
@@ -555,9 +557,6 @@ class CompiledGraphCache:
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
-
-    def contains(self, key: str) -> bool:
-        return self.path_for(key).is_file()
 
     def get(self, key: str) -> Optional[CompiledTDG]:
         """The cached artifact for ``key``, or None on miss/stale format."""
@@ -606,16 +605,6 @@ class CompiledGraphCache:
             self.alias_path(alias),
             {"format": COMPILED_FORMAT, "alias": alias, "key": key},
         )
-
-    def invalidate(self, key: str) -> bool:
-        """Drop a stale artifact (e.g. after a
-        :class:`~repro.core.persistent.PersistentStructureError`);
-        returns whether an entry existed."""
-        try:
-            os.unlink(self.path_for(key))
-            return True
-        except OSError:
-            return False
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

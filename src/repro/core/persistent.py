@@ -13,6 +13,7 @@ also removes inter-iteration edges (the resolver is reset at the barrier).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.graph import TaskGraph
 from repro.core.program import IterationSpec, TaskSpec
@@ -37,6 +38,56 @@ def _signature(spec: TaskSpec) -> tuple:
     return (spec.name, spec.loop_id, spec.depends)
 
 
+def first_divergence(
+    template: IterationSpec, iteration: IterationSpec
+) -> Optional[str]:
+    """Describe the first structural divergence from ``template``, if any.
+
+    ``taskwait`` markers create no tasks, but their *positions* are part
+    of the structure.
+    """
+    ref_barriers = [i for i, s in enumerate(template.tasks) if s.barrier]
+    got_barriers = [i for i, s in enumerate(iteration.tasks) if s.barrier]
+    if ref_barriers != got_barriers:
+        return (
+            f"taskwait positions changed: {got_barriers} vs template "
+            f"{ref_barriers}"
+        )
+    ref = [s for s in template.tasks if not s.barrier]
+    got = [s for s in iteration.tasks if not s.barrier]
+    if len(got) != len(ref):
+        return (
+            f"submits {len(got)} tasks where the template submits {len(ref)}"
+        )
+    for pos, (g, r) in enumerate(zip(got, ref)):
+        if _signature(g) != _signature(r):
+            if g.name != r.name:
+                what = f"task name {g.name!r} vs {r.name!r}"
+            elif g.depends != r.depends:
+                what = f"task {g.name!r}: depend clauses changed"
+            else:
+                what = f"task {g.name!r}: loop id changed"
+            return f"position {pos}: {what}"
+    return None
+
+
+def check_iteration(template: IterationSpec, iteration: IterationSpec) -> None:
+    """Raise :class:`PersistentStructureError` if ``iteration`` diverges.
+
+    Iterations sharing the template's spec list (the
+    :meth:`~repro.core.program.Program.from_template` layout) are
+    identical by construction and skip the compare.
+    """
+    if iteration.tasks is template.tasks:
+        return
+    why = first_divergence(template, iteration)
+    if why is not None:
+        raise PersistentStructureError(
+            f"iteration {iteration.index} diverged from the persistent "
+            f"template: {why}"
+        )
+
+
 @dataclass
 class PersistentRegion:
     """The cached graph of one ``#pragma omp ptsg`` region.
@@ -46,8 +97,8 @@ class PersistentRegion:
     graph:
         The TDG discovered on the first iteration (prune-free).
     template:
-        The first iteration's specs, used to validate later iterations and
-        to re-derive per-task replay costs (firstprivate sizes).
+        The first iteration's specs (later iterations are checked against
+        the program's first iteration with :func:`check_iteration`).
     user_tasks:
         Tasks corresponding 1:1 to ``template`` (stubs excluded).
     """
@@ -64,34 +115,6 @@ class PersistentRegion:
                 "template/user_tasks mismatch: "
                 f"{n_real} task specs vs {len(self.user_tasks)} tasks"
             )
-
-    # ------------------------------------------------------------------
-    def validate_iteration(self, iteration: IterationSpec) -> None:
-        """Check a later iteration is structurally identical to the template.
-
-        ``taskwait`` markers create no tasks, but their *positions* are part
-        of the structural signature.
-        """
-        got_barriers = [i for i, s in enumerate(iteration.tasks) if s.barrier]
-        ref_barriers = [i for i, s in enumerate(self.template) if s.barrier]
-        if got_barriers != ref_barriers:
-            raise PersistentStructureError(
-                f"iteration {iteration.index}: taskwait positions changed "
-                f"({got_barriers} vs {ref_barriers})"
-            )
-        got_tasks = [s for s in iteration.tasks if not s.barrier]
-        ref_tasks = [s for s in self.template if not s.barrier]
-        if len(got_tasks) != len(ref_tasks):
-            raise PersistentStructureError(
-                f"iteration {iteration.index} submits {len(got_tasks)} "
-                f"tasks but the persistent graph holds {len(ref_tasks)}"
-            )
-        for got, ref in zip(got_tasks, ref_tasks):
-            if _signature(got) != _signature(ref):
-                raise PersistentStructureError(
-                    f"iteration {iteration.index}: task {got.name!r} diverged "
-                    f"from cached task {ref.name!r} (dependences or loop changed)"
-                )
 
     # ------------------------------------------------------------------
     def rearm(self) -> None:

@@ -33,11 +33,10 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.compiled import CompiledGraphCache, CompiledTDG, structural_signature
 from repro.core.dependences import DependenceResolver
 from repro.core.graph import TaskGraph
 from repro.core.optimizations import OptimizationSet
-from repro.core.persistent import PersistentRegion, PersistentStructureError
+from repro.core.persistent import PersistentRegion, check_iteration
 from repro.core.program import CommKind, CommSpec, Program, TaskSpec
 from repro.core.task import split_footprint
 from repro.core.throttling import ThrottleConfig
@@ -199,7 +198,6 @@ class TaskRuntime:
         comm: Optional["Communicator"] = None,
         rank: int = 0,
         bus: Optional[InstrumentationBus] = None,
-        compiled_cache: Optional["CompiledGraphCache"] = None,
     ) -> None:
         self.program = program
         self.config = config
@@ -252,7 +250,7 @@ class TaskRuntime:
         self._region: Optional[PersistentRegion] = None
         #: Template-iteration tids, 1:1 with its specs (persistent mode).
         self._template_tids: list[int] = []
-        # Compiled-TDG replay plan, built when the region freezes: arrays
+        # Frozen replay plan, built when the region freezes: arrays
         # aligned with the template's spec positions (barrier markers get
         # tid -1), plus the frozen stub tid list.  The fused replay chain
         # walks these instead of re-deriving per-task state.
@@ -269,9 +267,6 @@ class TaskRuntime:
         # point — the per-task arm events the bulk walk elides.
         self._arm_time: list[float] = []
         self._replay_iter_index = 0
-        self._compiled_cache = compiled_cache
-        self._compiled_info: Optional[dict] = None
-        self._compiled_key: Optional[str] = None
         #: Per-spec normalized footprint cache.  Programs built by
         #: ``Program.from_template`` share spec tuples across iterations,
         #: so each spec's footprint is normalized exactly once per run.
@@ -298,10 +293,6 @@ class TaskRuntime:
         self.work = [0.0] * n
         self.overhead = [0.0] * n
         self.discovery_busy = 0.0
-        # Per-task resolution counts in tid order (creator row followed by
-        # zero rows for its redirect stubs) — the discovery columns of the
-        # compiled()-snapshot artifact.
-        self._disc_rows: list[tuple[int, int, int, int]] = []
         self._disc_first = _NAN
         self._disc_last = _NAN
         self._exec_first = _NAN
@@ -376,7 +367,7 @@ class TaskRuntime:
                 "circular dependences or an unmatched MPI operation"
             )
         span = lambda a, b: (0.0, 0.0) if np.isnan(a) or np.isnan(b) else (a, b)
-        res = RunResult(
+        return RunResult(
             name=self.config.name,
             n_threads=self.n_threads,
             makespan=self._last_activity,
@@ -400,9 +391,6 @@ class TaskRuntime:
                 "rank": self.rank,
             },
         )
-        if self._compiled_info is not None:
-            res.extra["compiled_tdg"] = dict(self._compiled_info)
-        return res
 
     # ==================================================================
     # producer
@@ -545,10 +533,6 @@ class TaskRuntime:
                 tb.device[tid] = True
             res = self.resolver.resolve_tid(tid, spec.depends)
             tb.npred_initial[tid] = tb.npred[tid] + tb.presat[tid]
-            self._disc_rows.append(
-                (res.n_addrs, res.n_edges, res.n_skipped, res.n_redirects)
-            )
-            self._disc_rows.extend((0, 0, 0, 0) for _ in res.redirect_tids)
             for stub in res.redirect_tids:
                 self._arm_stub(stub)
             if self._persistent_mode:
@@ -718,18 +702,11 @@ class TaskRuntime:
         if self._iter_idx >= self.program.n_iterations:
             self._finish_discovery()
             return
-        # Validate and re-arm for the next iteration.  Iterations sharing
-        # the template's spec list (`Program.from_template`) are identical
-        # by construction — nothing to validate.
-        next_it = self.program.iterations[self._iter_idx]
-        if next_it.tasks is not self._template_src:
-            try:
-                self._region.validate_iteration(next_it)
-            except PersistentStructureError:
-                # The frozen graph no longer describes this program: any
-                # cached compiled artifact for it is stale.
-                self._invalidate_compiled()
-                raise
+        # Validate and re-arm for the next iteration (iterations sharing
+        # the template's spec list skip the compare).
+        check_iteration(
+            self.program.iterations[0], self.program.iterations[self._iter_idx]
+        )
         self._region.rearm()
         self._region_cursor = 0
         # Stubs are re-armed wholesale; user tasks get walked by the producer.
@@ -746,8 +723,7 @@ class TaskRuntime:
 
         One pass over the template: per-position tids (taskwait markers
         get -1), per-position firstprivate-copy costs and bodies, and the
-        stub tid list the barrier re-arms wholesale.  Also resolves the
-        compiled-graph cache when one is attached.
+        stub tid list the barrier re-arms wholesale.
         """
         self._template_src = self.program.iterations[0].tasks
         tids = self._template_tids
@@ -777,105 +753,6 @@ class TaskRuntime:
         self._stub_tids = [
             tid for tid, s in enumerate(self.table.is_stub) if s
         ]
-        if self._compiled_cache is not None:
-            self._publish_compiled(self._compiled_cache)
-
-    # ------------------------------------------------------------------
-    # compiled-TDG artifact
-    # ------------------------------------------------------------------
-    def compiled(self) -> CompiledTDG:
-        """Freeze the discovered TDG into a :class:`CompiledTDG`.
-
-        Persistent runs may call this any time after the first iteration
-        (the region is frozen); non-persistent runs after discovery ends.
-        The artifact is keyed by the program's structural signature, so
-        it equals what :func:`repro.core.compiled.compile_program` builds
-        for the same program and opts — by construction.
-        """
-        if self._persistent_mode and self._region is None:
-            raise RuntimeError("compiled(): persistent region not frozen yet")
-        if not self._persistent_mode and not self._discovery_done:
-            raise RuntimeError("compiled(): discovery has not finished")
-        if self._compiled_key is None:
-            self._compiled_key = structural_signature(
-                self.program, self.config.opts
-            )
-        segment, spec_pos = self._segment_columns()
-        disc = self._disc_rows
-        art = CompiledTDG.from_table(
-            self.table,
-            key=self._compiled_key,
-            segment=segment,
-            spec_pos=spec_pos,
-            owner=self.rank,
-            disc=disc if len(disc) == len(self.table) else None,
-        )
-        if self._persistent_mode:
-            # Replay re-stamps the table's iteration column for tracing;
-            # the artifact describes the template iteration.
-            art.iteration = [0] * len(art.iteration)
-        return art
-
-    def _segment_columns(self) -> tuple[list[int], list[int]]:
-        """Reconstruct per-tid barrier segments and template positions.
-
-        Stub tids always follow the user task whose resolution created
-        them, so one joint walk over tids and submitted specs aligns
-        both columns.
-        """
-        is_stub = self.table.is_stub
-        segment: list[int] = []
-        spec_pos: list[int] = []
-        seg = 0
-        if self._persistent_mode:
-            walk = [self.program.iterations[0].tasks]
-        else:
-            walk = [it.tasks for it in self._iterations]
-        specs = iter(
-            (pos, spec) for tasks in walk for pos, spec in enumerate(tasks)
-        )
-        pos, spec = -1, None
-        for tid in range(len(is_stub)):
-            if is_stub[tid]:
-                segment.append(seg)
-                spec_pos.append(-1)
-                continue
-            pos, spec = next(specs)
-            while spec.barrier:
-                seg += 1
-                pos, spec = next(specs)
-            segment.append(seg)
-            spec_pos.append(pos)
-        return segment, spec_pos
-
-    def _publish_compiled(self, cache: CompiledGraphCache) -> None:
-        """Record the frozen graph in the compiled cache (hit or store).
-
-        A hit never alters the simulation — discovery already ran with
-        identical timing (the artifact is structural, not temporal); the
-        cache exists so *other* consumers (verify, analysis, partitioning,
-        later runs) skip recompiling, and the run reports hit/stored for
-        observability.
-        """
-        self._compiled_key = structural_signature(self.program, self.config.opts)
-        key = self._compiled_key
-        if cache.contains(key):
-            status = "hit"
-        else:
-            cache.put(self.compiled())
-            status = "stored"
-        self._compiled_info = {
-            "key": key,
-            "cache": status,
-            "n_tasks": len(self.table),
-            "n_edges": self.table.stats.created,
-        }
-
-    def _invalidate_compiled(self) -> None:
-        if self._compiled_cache is not None and self._compiled_key is not None:
-            self._compiled_cache.invalidate(self._compiled_key)
-            if self._compiled_info is not None:
-                self._compiled_info["cache"] = "invalidated"
 
     def _finish_discovery(self) -> None:
         if self._discovery_done:

@@ -3,11 +3,10 @@
 The verification passes need the *graph* the runtime would discover — but
 not the timing of its execution.  The discovery itself lives in
 :func:`repro.core.compiled.compile_program`: one static walk through the
-production :class:`~repro.core.dependences.DependenceResolver` that
-freezes the result into a :class:`~repro.core.compiled.CompiledTDG` — the
-same CSR artifact the runtime snapshots at its first persistent barrier.
-Static-vs-DES edge equality is therefore equality *by construction*: both
-layers read one compiled graph, neither maintains a shadow.
+production :class:`~repro.core.dependences.DependenceResolver` (the one
+the DES producer thread drives) that freezes the result into a
+:class:`~repro.core.compiled.CompiledTDG` — the same CSR artifact the
+cheap fidelity tiers simulate on.  Verify keeps no shadow graph.
 
 This module keeps the verify-facing view: :class:`StaticNode` pairs each
 compiled row with its originating :class:`~repro.core.program.TaskSpec`
@@ -19,12 +18,13 @@ submission prefixes) refined by graph reachability within a segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.core.compiled import CompiledTDG, compile_program
 from repro.core.graph import TaskGraph
 from repro.core.optimizations import OptimizationSet
+from repro.core.persistent import PersistentStructureError
 from repro.core.program import Program, TaskSpec
 from repro.core.task import Task
 from repro.runtime.costs import DiscoveryCosts
@@ -134,10 +134,18 @@ def discover_static(
 
     ``costs`` enables the per-iteration discovery-time prediction (the same
     :class:`~repro.runtime.costs.DiscoveryCosts` the runtime charges).
+    A persistent candidate whose iterations diverge cannot be replayed,
+    so it is discovered without (p) — every iteration resolved — and the
+    persistence pass reports the divergence (``V-PTSG-UNSAFE``).
     """
-    compiled, graph = compile_program(
-        program, opts, costs=costs, keep_graph=True
-    )
+    try:
+        compiled, graph = compile_program(
+            program, opts, costs=costs, keep_graph=True
+        )
+    except PersistentStructureError:
+        compiled, graph = compile_program(
+            program, replace(opts, p=False), costs=costs, keep_graph=True
+        )
     table = graph.table
     iterations = program.iterations
     nodes: list[StaticNode] = []

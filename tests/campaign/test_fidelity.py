@@ -127,6 +127,24 @@ class TestRunnerDispatch:
         ana = run_experiment(spec(fidelity="analytic"), compiled_cache=cache)
         assert ana.extra["compiled_tdg"]["cache_hit"] is True
 
+    def test_structural_signature_is_seed_independent(self):
+        from dataclasses import replace
+
+        from repro.campaign.crosscheck import golden_specs
+        from repro.campaign.runner import build_programs, derive_config
+        from repro.core.compiled import structural_signature
+
+        bases = {(s.app, s.params, s.config.opts): s for s in golden_specs()}
+        for base in bases.values():
+            opts = derive_config(base).opts
+            sigs = {
+                structural_signature(
+                    build_programs(replace(base, seed=seed))[0], opts
+                )
+                for seed in (0, 1)
+            }
+            assert len(sigs) == 1, base.label
+
     def test_deterministic_across_calls(self):
         a = run_experiment(spec(fidelity="replay"))
         b = run_experiment(spec(fidelity="replay"))

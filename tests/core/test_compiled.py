@@ -16,6 +16,7 @@ from repro.core.compiled import COMPILED_FORMAT
 from repro.memory import tiny_test_machine
 from repro.runtime import RuntimeConfig, TaskRuntime
 from repro.runtime.costs import DiscoveryCosts
+from repro.sim import InstrumentationBus
 
 
 def chain_program(n=4, iterations=3, *, persistent=True, name="chain"):
@@ -146,52 +147,90 @@ class TestCompileProgram:
         assert back.to_dict() == c.to_dict()
 
 
-class TestRuntimeSnapshotEquality:
-    """The runtime's frozen artifact equals the static compile, field by
-    field — the equality-by-construction contract."""
+def _disc_rows(bus):
+    """Subscribe a task_create recorder: tid -> resolution counts."""
+    rows: dict[int, tuple[int, int, int, int]] = {}
 
-    def _run(self, prog, opts):
+    def on_create(table, tid, res, cost, now):
+        rows[tid] = (res.n_addrs, res.n_edges, res.n_skipped, res.n_redirects)
+
+    bus.subscribe("task_create", on_create)
+    return rows
+
+
+class TestRuntimeSnapshotEquality:
+    """The DES discovers exactly the graph ``compile_program`` freezes:
+    same CSR, indegrees, columns, edge accounting and per-task
+    resolution counts — the DES table checked against the one producer
+    of compiled artifacts."""
+
+    def _check(self, make_prog, opts, **cfg):
+        opts = OptimizationSet.parse(opts)
+        des_bus = InstrumentationBus()
+        des_rows = _disc_rows(des_bus)
         rt = TaskRuntime(
-            prog,
-            RuntimeConfig(
-                machine=tiny_test_machine(4), opts=OptimizationSet.parse(opts)
-            ),
+            make_prog(),
+            RuntimeConfig(machine=tiny_test_machine(4), opts=opts, **cfg),
+            bus=des_bus,
         )
         rt.run()
-        return rt
+        static_bus = InstrumentationBus()
+        static_rows = _disc_rows(static_bus)
+        art = compile_program(make_prog(), opts, bus=static_bus)
+
+        table = rt.table
+        assert table.build_csr() == (art.succ_offsets, art.succ_targets)
+        assert list(table.npred_initial) == art.indegree
+        assert list(table.name) == art.name
+        assert list(table.loop_id) == art.loop_id
+        assert list(table.is_stub) == art.is_stub
+        assert list(table.flops) == art.flops
+        assert list(table.fp_bytes) == art.fp_bytes
+        assert table.stats.to_dict() == art.stats.to_dict()
+        assert des_rows == static_rows
+        assert des_rows == {
+            t: (
+                art.disc_addrs[t], art.disc_edges[t],
+                art.disc_skips[t], art.disc_redirects[t],
+            )
+            for t in art.user_tids
+        }
+        return art
 
     @pytest.mark.parametrize("make_prog", [chain_program, redirect_program])
     def test_persistent_snapshot_equals_static_compile(self, make_prog):
-        rt = self._run(make_prog(), "abcp")
-        static = compile_program(make_prog(), ABCP)
-        assert rt.compiled().to_dict() == static.to_dict()
+        assert self._check(make_prog, "abcp").persistent
 
     def test_non_persistent_snapshot_equals_static_compile(self):
         # Non-overlapped mode: no task completes during discovery, so no
         # pruning — the exact precondition for static equality.
-        prog = chain_program(4, iterations=2, persistent=False)
-        rt = TaskRuntime(
-            prog,
-            RuntimeConfig(
-                machine=tiny_test_machine(4),
-                opts=OptimizationSet.parse("ab"),
-                non_overlapped=True,
-            ),
+        art = self._check(
+            lambda: chain_program(4, iterations=2, persistent=False),
+            "ab",
+            non_overlapped=True,
         )
-        rt.run()
-        static = compile_program(
-            chain_program(4, iterations=2, persistent=False),
-            OptimizationSet.parse("ab"),
-        )
-        assert rt.compiled().to_dict() == static.to_dict()
+        assert not art.persistent
 
     def test_lulesh_snapshot_equality(self):
         from repro.apps.lulesh import LuleshConfig, build_task_program
 
         cfg = LuleshConfig(s=8, iterations=3, tpl=16)
-        rt = self._run(build_task_program(cfg), "abcp")
-        static = compile_program(build_task_program(cfg), ABCP)
-        assert rt.compiled().to_dict() == static.to_dict()
+        art = self._check(lambda: build_task_program(cfg), "abcp")
+        assert art.n_stubs > 0
+
+    def test_hpcg_snapshot_equality(self):
+        from repro.apps.hpcg import HpcgConfig, build_task_program
+
+        cfg = HpcgConfig(n_rows=2048, iterations=2, tpl=8)
+        self._check(lambda: build_task_program(cfg), "abcp")
+
+    def test_cholesky_snapshot_equality(self):
+        from repro.apps.cholesky import CholeskyConfig, build_task_programs
+
+        cfg = CholeskyConfig(n=512, b=128)
+        self._check(
+            lambda: build_task_programs(cfg)[0], "abc", non_overlapped=True
+        )
 
 
 class TestCompiledGraphCache:
@@ -200,7 +239,6 @@ class TestCompiledGraphCache:
         c = compile_program(chain_program(), ABCP)
         path = cache.put(c)
         assert path.is_file()
-        assert cache.contains(c.key)
         got = cache.get(c.key)
         assert got is not None
         assert got.to_dict() == c.to_dict()
@@ -208,15 +246,6 @@ class TestCompiledGraphCache:
     def test_miss_returns_none(self, tmp_path):
         cache = CompiledGraphCache(tmp_path)
         assert cache.get("0" * 64) is None
-        assert not cache.contains("0" * 64)
-
-    def test_invalidate(self, tmp_path):
-        cache = CompiledGraphCache(tmp_path)
-        c = compile_program(chain_program(), ABCP)
-        cache.put(c)
-        assert cache.invalidate(c.key)
-        assert not cache.contains(c.key)
-        assert not cache.invalidate(c.key)
 
     def test_len_and_keys(self, tmp_path):
         cache = CompiledGraphCache(tmp_path)
@@ -230,6 +259,10 @@ class TestCompiledGraphCache:
     def test_for_campaign_nests_under_cache_root(self, tmp_path):
         cache = CompiledGraphCache.for_campaign(tmp_path)
         assert cache.root == tmp_path / CompiledGraphCache.SUBDIR
+        # The directory appears with the first artifact, not before.
+        assert not cache.root.exists() and len(cache) == 0
+        cache.put(compile_program(chain_program(), ABCP))
+        assert len(cache) == 1
 
     def test_stale_format_misses(self, tmp_path):
         cache = CompiledGraphCache(tmp_path)
@@ -241,32 +274,22 @@ class TestCompiledGraphCache:
 
 
 class TestRuntimeCachePublication:
+    """Only the cheap tiers read and write the compiled cache: the DES
+    publishes nothing, so its results do not depend on one."""
+
     def _config(self, opts="abcp"):
         return RuntimeConfig(
             machine=tiny_test_machine(4), opts=OptimizationSet.parse(opts)
         )
 
-    def test_first_run_stores_second_hits(self, tmp_path):
-        cache = CompiledGraphCache(tmp_path)
-        rt1 = TaskRuntime(chain_program(), self._config(), compiled_cache=cache)
-        res1 = rt1.run()
-        assert res1.extra["compiled_tdg"]["cache"] == "stored"
-        assert len(cache) == 1
+    def _spec(self, opts="abcp"):
+        from repro.api import ExperimentSpec
 
-        rt2 = TaskRuntime(chain_program(), self._config(), compiled_cache=cache)
-        res2 = rt2.run()
-        assert res2.extra["compiled_tdg"]["cache"] == "hit"
-        assert res2.extra["compiled_tdg"]["key"] == res1.extra["compiled_tdg"]["key"]
-        assert len(cache) == 1
-
-    def test_cached_artifact_equals_static_compile(self, tmp_path):
-        cache = CompiledGraphCache(tmp_path)
-        rt = TaskRuntime(chain_program(), self._config(), compiled_cache=cache)
-        rt.run()
-        key = structural_signature(chain_program(), ABCP)
-        assert cache.get(key).to_dict() == compile_program(
-            chain_program(), ABCP
-        ).to_dict()
+        return ExperimentSpec(
+            app="lulesh",
+            config=self._config(opts),
+            params={"s": 8, "iterations": 3, "tpl": 8},
+        )
 
     def test_no_cache_no_extra_key(self):
         rt = TaskRuntime(chain_program(), self._config())
@@ -274,11 +297,27 @@ class TestRuntimeCachePublication:
         assert "compiled_tdg" not in res.extra
 
     def test_non_persistent_run_does_not_publish(self, tmp_path):
+        from repro.api import run_experiment
+
         cache = CompiledGraphCache(tmp_path)
-        rt = TaskRuntime(
-            chain_program(persistent=False), self._config("abc"),
-            compiled_cache=cache,
-        )
-        res = rt.run()
+        res = run_experiment(self._spec("abc"), compiled_cache=cache)
         assert len(cache) == 0
         assert "compiled_tdg" not in res.extra
+
+    def test_des_result_independent_of_compiled_cache(self, tmp_path):
+        from repro.api import run_campaign, run_experiment
+        from repro.util.serde import canonical_json
+
+        spec = self._spec()
+        bare = canonical_json(run_experiment(spec).to_dict())
+        cache = CompiledGraphCache(tmp_path / "compiled")
+        cached = run_experiment(spec, compiled_cache=cache)
+        assert canonical_json(cached.to_dict()) == bare
+        assert len(cache) == 0
+        out = run_campaign([spec], cache=tmp_path / "campaign")
+        assert canonical_json(out.results[0].to_dict()) == bare
+        # Nothing is compiled for a DES-only campaign, so its directory
+        # holds the store alone.
+        assert sorted(p.name for p in (tmp_path / "campaign").iterdir()) == [
+            "campaign.sqlite"
+        ]

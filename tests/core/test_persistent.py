@@ -1,16 +1,25 @@
-"""Unit tests for PersistentRegion (the PTSG data structure)."""
+"""Unit tests for PersistentRegion (the PTSG data structure) and the
+template check every later iteration passes."""
 
 import pytest
 
 from repro.core.graph import TaskGraph
-from repro.core.persistent import PersistentRegion, PersistentStructureError
+from repro.core.persistent import (
+    PersistentRegion,
+    PersistentStructureError,
+    check_iteration,
+)
 from repro.core.program import IterationSpec, TaskSpec
 from repro.core.task import DepMode, TaskState
 
 
+def make_specs(n=3):
+    return [TaskSpec(name=f"t{i}", depends=((0, DepMode.INOUT),)) for i in range(n)]
+
+
 def make_region(n=3):
     g = TaskGraph(persistent=True)
-    specs = [TaskSpec(name=f"t{i}", depends=((0, DepMode.INOUT),)) for i in range(n)]
+    specs = make_specs(n)
     tasks = [g.new_task(name=s.name) for s in specs]
     for a, b in zip(tasks, tasks[1:]):
         g.add_edge(a, b, dedup=False)
@@ -20,37 +29,42 @@ def make_region(n=3):
 
 
 class TestValidation:
+    def _check(self, specs, tasks):
+        check_iteration(
+            IterationSpec(index=0, tasks=specs), IterationSpec(index=1, tasks=tasks)
+        )
+
     def test_identical_iteration_ok(self):
-        region, g, specs, _ = make_region()
-        region.validate_iteration(IterationSpec(index=1, tasks=list(specs)))
+        specs = make_specs()
+        self._check(specs, list(specs))
 
     def test_task_count_mismatch(self):
-        region, g, specs, _ = make_region()
+        specs = make_specs()
         with pytest.raises(PersistentStructureError, match="submits"):
-            region.validate_iteration(IterationSpec(index=1, tasks=specs[:-1]))
+            self._check(specs, specs[:-1])
 
     def test_dependence_mismatch(self):
-        region, g, specs, _ = make_region()
+        specs = make_specs()
         bad = list(specs)
         bad[1] = TaskSpec(name="t1", depends=((99, DepMode.IN),))
         with pytest.raises(PersistentStructureError, match="diverged"):
-            region.validate_iteration(IterationSpec(index=1, tasks=bad))
+            self._check(specs, bad)
 
     def test_name_mismatch(self):
-        region, g, specs, _ = make_region()
+        specs = make_specs()
         bad = list(specs)
         bad[0] = TaskSpec(name="other", depends=specs[0].depends)
         with pytest.raises(PersistentStructureError):
-            region.validate_iteration(IterationSpec(index=1, tasks=bad))
+            self._check(specs, bad)
 
     def test_body_change_allowed(self):
         # firstprivate payloads (bodies) may change between iterations.
-        region, g, specs, _ = make_region()
+        specs = make_specs()
         changed = [
             TaskSpec(name=s.name, depends=s.depends, body=(lambda: None))
             for s in specs
         ]
-        region.validate_iteration(IterationSpec(index=1, tasks=changed))
+        self._check(specs, changed)
 
     def test_template_task_length_mismatch_rejected(self):
         g = TaskGraph(persistent=True)

@@ -1,9 +1,9 @@
 """Acceptance gate: the golden campaign through the result store.
 
 The 19-spec golden set (``repro.campaign.crosscheck.golden_specs``) runs
-once in-process with no result store (the reference; it gets a fresh
-compiled-graph cache, as a campaign directory would) and once into a
-``DbResultStore``; executed results and store hits must both be
+once in-process with no result store and no compiled-graph cache (the
+reference) and once into a ``DbResultStore`` (whose directory also holds
+the campaign's compiled cache); executed results and store hits must both be
 bit-identical to the reference, a resume must add no rows, and the SQL
 rows must mirror the result documents they were derived from.
 """
@@ -15,7 +15,6 @@ import pytest
 from repro.campaign.crosscheck import golden_specs
 from repro.campaign.engine import run_campaign
 from repro.campaign.runner import run_experiment
-from repro.core.compiled import CompiledGraphCache
 from repro.db import CampaignDB, DbResultStore
 from repro.util.serde import canonical_json
 
@@ -24,8 +23,7 @@ from repro.util.serde import canonical_json
 def golden(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     specs = golden_specs()
-    compiled = CompiledGraphCache.for_campaign(root / "reference")
-    reference = [run_experiment(s, compiled_cache=compiled) for s in specs]
+    reference = [run_experiment(s) for s in specs]
     db_out = run_campaign(specs, store=root / "store.sqlite", campaign="g")
     assert db_out.ok and db_out.n_executed == len(specs)
     return root, specs, reference, db_out

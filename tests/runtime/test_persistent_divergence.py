@@ -3,17 +3,16 @@
 Every app builds its iterations from one shared template list
 (``Program.from_template``), so a real run can never diverge; these tests
 rebuild the programs with a mutated second iteration — the mesh-refinement
-scenario of §3.2 "Applicability" — and check the runtime (a) raises
-:class:`PersistentStructureError` at the barrier and (b) drops the
-now-stale compiled-graph artifact from an attached cache, so a corrected
-program rediscovers and republishes.
+scenario of §3.2 "Applicability" — and check that the runtime (at the
+barrier) and ``compile_program`` (before any run) both raise
+:class:`PersistentStructureError`, while a content-equal copy passes both.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core import CompiledGraphCache, OptimizationSet
+from repro.core import OptimizationSet, compile_program
 from repro.core.persistent import PersistentStructureError
 from repro.core.program import IterationSpec, Program
 from repro.core.task import DepMode
@@ -102,27 +101,17 @@ class TestDivergenceDetected:
         assert res.makespan > 0.0
 
 
-class TestCompiledCacheInvalidation:
+class TestCompileProgramDivergence:
     @pytest.mark.parametrize("app", sorted(APP_BUILDERS))
-    def test_divergence_invalidates_then_rediscovery_republishes(
-        self, app, tmp_path
-    ):
-        cache = CompiledGraphCache(tmp_path)
-        builder = APP_BUILDERS[app]
+    def test_divergence_raises(self, app):
+        with pytest.raises(PersistentStructureError, match="iteration 1"):
+            compile_program(diverge(APP_BUILDERS[app]()), cfg().opts)
 
-        # The diverged run publishes its artifact at the first barrier,
-        # then detects the divergence and withdraws it.
-        rt = TaskRuntime(diverge(builder()), cfg(), compiled_cache=cache)
-        rt.start()
-        with pytest.raises(PersistentStructureError):
-            rt.engine.run()
-        assert len(cache) == 0
-
-        # A corrected program rediscovers and stores under its own key.
-        res = TaskRuntime(
-            corrected(builder()), cfg(), compiled_cache=cache
-        ).run()
-        assert res.extra["compiled_tdg"]["cache"] == "stored"
-        assert len(cache) == 1
-        (key,) = cache.keys()
-        assert cache.get(key).persistent
+    @pytest.mark.parametrize("app", sorted(APP_BUILDERS))
+    def test_content_equal_copy_compiles_like_shared_template(self, app):
+        shared = APP_BUILDERS[app]()
+        assert shared.iterations[1].tasks is shared.iterations[0].tasks
+        got = compile_program(corrected(APP_BUILDERS[app]()), cfg().opts)
+        want = compile_program(shared, cfg().opts)
+        assert got.persistent
+        assert got.to_dict() == want.to_dict()

@@ -129,9 +129,8 @@ class TestCampaignCommand:
         cache = tmp_path / "cache"
         argv = ["campaign", str(path), "--jobs", "2", "--cache-dir", str(cache)]
         assert main(argv + ["--json"]) == 0
-        assert sorted(p.name for p in cache.iterdir()) == [
-            "campaign.sqlite", "compiled",
-        ]
+        # DES specs compile nothing, so no compiled/ directory either.
+        assert sorted(p.name for p in cache.iterdir()) == ["campaign.sqlite"]
 
     def test_table_output(self, tmp_path, capsys):
         path = self.specfile(tmp_path)
@@ -165,17 +164,13 @@ class TestSweepJobs:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "best TPL=" in out
-        # One store row per point, plus one compiled-graph artifact per
-        # distinct program structure (3 TPLs) under compiled/; no result
-        # lands as a JSON file.
+        # One store row per point; no result lands as a JSON file, and a
+        # DES sweep writes no compiled-graph artifact (only the cheap
+        # tiers use compiled/).
         from repro.db import open_store
 
         assert len(open_store(cache)) == 3
-        results = [p for p in cache.rglob("*.json")
-                   if "compiled" not in p.parts]
-        compiled = [p for p in cache.rglob("*.json") if "compiled" in p.parts]
-        assert results == []
-        assert len(compiled) == 3
+        assert list(cache.rglob("*.json")) == []
 
 
 class TestLintJsonDeterminism:

@@ -1,9 +1,13 @@
 """Persistence-safety checker: structural invariance proofs and refutations."""
 
+import pytest
+
 from repro.core.optimizations import OptimizationSet
 from repro.core.program import ProgramBuilder
 from repro.runtime.costs import DiscoveryCosts
-from repro.verify.persistence import check_persistence, first_divergence
+from repro.core.persistent import first_divergence
+from repro.verify import verify_program
+from repro.verify.persistence import check_persistence
 
 
 def varying_program(*, candidate, vary="count"):
@@ -63,6 +67,14 @@ class TestUnsafe:
         prog = varying_program(candidate=True, vary="barrier")
         [f] = check_persistence(prog, OPTS_P)
         assert "taskwait positions" in f.data["divergence"]
+
+    @pytest.mark.parametrize("vary", ["count", "deps", "barrier"])
+    def test_verify_program_reports_instead_of_raising(self, vary):
+        # Static discovery cannot replay a diverging program; it falls
+        # back to resolving every iteration and the pass reports why.
+        report = verify_program(varying_program(candidate=True, vary=vary), "abcp")
+        assert "V-PTSG-UNSAFE" in {f.rule for f in report.findings}
+        assert report.summary["persistent"] is False
 
     def test_varying_but_not_claimed_is_silent(self):
         prog = varying_program(candidate=False, vary="count")
